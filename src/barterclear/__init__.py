@@ -2,23 +2,14 @@
 
 Items are vertices, agents are colors, and a clearing is a set of
 vertex-disjoint simple cycles.  The package solves the polynomial
-max-vertex objective exactly via the assignment problem, solves the
+max-vertex objective exactly as a sparse assignment problem, solves the
 NP-hard color-aware objectives exactly at desk scale by branch and bound,
 carries the per-color-bound approximation, and compiles CNF formulas into
 gadget graphs whose clearings encode truth assignments.
 """
 
 from .approx import EmptyGraph, approx_jpc, per_color_bound
-from .assignment import (
-    INFEASIBLE,
-    AssignmentInstance,
-    Matching,
-    build_assignment_instance,
-    matching_to_cycle_set,
-    matching_weight,
-    solve_assignment,
-    solve_max_size,
-)
+from .assignment import solve_max_size
 from .exact import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -69,9 +60,11 @@ from .graph import (
     canonical_cycle,
     canonical_cycle_set,
     cycle_from_vertices,
+    cycle_set_from_successors,
     cycle_vertices,
     graph_colors,
     is_tropical,
+    successor_cycles,
     validate_cycle_set,
     without_self_loops,
 )

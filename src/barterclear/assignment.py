@@ -1,117 +1,70 @@
 """Polynomial-time exact solver for the maximum-vertex clearing objective.
 
-Finding a vertex-disjoint cycle set covering the most vertices reduces to a
-maximum-weight perfect matching (assignment problem): item u is assigned the
-item it gives to.  Every real edge u -> v is a weight-1 entry; the diagonal
-always admits a weight-0 dummy "keep your item" assignment, so a perfect
-matching always exists and its weight equals the number of traded vertices.
-The non-dummy part of the optimal permutation decomposes into the cycle set.
+Finding a vertex-disjoint cycle set covering the most vertices reduces to an
+assignment problem (Abraham, Blum & Sandholm, EC 2007): item u is assigned
+the item it gives to.  Every distinct real edge u -> v, a real self-loop
+included, costs 1; a vertex with no self-loop may instead keep its item, a
+dummy diagonal entry that costs 2.  The diagonal guarantees a full matching
+exists, and a full matching costs n plus the number of kept items, so a
+minimum-cost one trades the most vertices.  The non-dummy part of the
+matching is the successor configuration of the cycle set.
 
-Weights are small integers throughout; no floating point.
+The cost matrix is sparse, with n + (distinct edges) entries at most, and
+is solved by scipy's LAPJVsp (Jonker & Volgenant 1987, sparse variant).
+Costs are small integers, exact in floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .graph import Cycle, ColoredDigraph, CycleSet
+from .graph import ColoredDigraph, CycleSet, cycle_set_from_successors
 
-# Marker for pairs with no edge.  Real weights are 0 or 1.
-INFEASIBLE = -1
+EDGE_COST = 1
+KEEP_COST = 2
 
 
-@dataclass(frozen=True, eq=False)
-class AssignmentInstance:
-    """Square weight matrix of the assignment reduction.
+def assignment_costs(g: ColoredDigraph) -> csr_array:
+    """Sparse n×n cost matrix of the assignment reduction.
 
-    weight[u, v] == 1 if some edge u -> v exists (parallel edges collapse),
-    the diagonal is 0 (dummy keep) where no real self-loop exists, and
-    INFEASIBLE everywhere else.
+    Row u holds EDGE_COST at every distinct successor of u (parallel edges
+    collapse) and, when u has no self-loop, KEEP_COST on the diagonal.
+    Column indices are ascending within each row.
     """
-
-    size: int
-    weight: np.ndarray
-
-    def is_feasible(self, u: int, v: int) -> bool:
-        return self.weight[u, v] != INFEASIBLE
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A perfect matching: item u gives to item perm[u].
-
-    dummy[u] is True when the fixed point u is the weight-0 keep assignment
-    rather than a real self-loop trade.
-    """
-
-    perm: tuple[int, ...]
-    dummy: tuple[bool, ...]
-
-
-def build_assignment_instance(g: ColoredDigraph) -> AssignmentInstance:
-    """Translate a graph into its assignment-problem weight matrix."""
     n = g.vertex_count
-    weight = np.full((n, n), INFEASIBLE, dtype=np.int64)
-    np.fill_diagonal(weight, 0)
-    for u, v in g.edges:
-        weight[u, v] = 1
-    return AssignmentInstance(n, weight)
+    indptr = [0]
+    indices: list[int] = []
+    keeps: list[int] = []  # positions in ``indices`` of the dummy keeps
+    for u, succ in enumerate(g.out_neighbors):
+        at = bisect_left(succ, u)
+        if at == len(succ) or succ[at] != u:
+            keeps.append(len(indices) + at)
+            succ = succ[:at] + (u,) + succ[at:]
+        indices.extend(succ)
+        indptr.append(len(indices))
+    data = np.full(len(indices), EDGE_COST, dtype=np.float64)
+    data[keeps] = KEEP_COST
+    return csr_array(
+        (data, np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
+        shape=(n, n),
+    )
 
 
-def matching_weight(inst: AssignmentInstance, m: Matching) -> int:
-    return int(sum(inst.weight[u, v] for u, v in enumerate(m.perm) if not m.dummy[u]))
-
-
-def solve_assignment(inst: AssignmentInstance) -> Matching:
-    """Maximum-total-weight perfect matching of the instance.
-
-    The feasible diagonal guarantees a perfect matching of weight >= 0
-    exists, and any matching touching an infeasible pair scores below that,
-    so the optimum never uses one.  Deterministic for a fixed input.
-    """
-    n = inst.size
-    if n == 0:
-        return Matching((), ())
-    cost = inst.weight.copy()
-    # Any single infeasible entry outweighs all feasible gains combined.
-    cost[cost == INFEASIBLE] = -(n + 1)
-    rows, cols = linear_sum_assignment(cost, maximize=True)
-    perm = [0] * n
-    for u, v in zip(rows, cols):
-        perm[int(u)] = int(v)
-    dummy = tuple(perm[u] == u and inst.weight[u, u] == 0 for u in range(n))
-    return Matching(tuple(perm), dummy)
-
-
-def matching_to_cycle_set(g: ColoredDigraph, m: Matching) -> CycleSet:
-    """Decompose the non-dummy part of the permutation into cycles.
-
-    Cycles come out in canonical form: each starts at its smallest vertex
-    (the first unvisited one), and cycles are ordered by that vertex.
-    Parallel edges resolve to the lowest edge id.
-    """
-    visited = [False] * len(m.perm)
-    cycles = []
-    for start in range(len(m.perm)):
-        if visited[start] or m.dummy[start]:
-            continue
-        edge_ids = []
-        u = start
-        while not visited[u]:
-            visited[u] = True
-            v = m.perm[u]
-            eid = g.edge_id_between(u, v)
-            assert eid is not None, "matching used a nonexistent edge"
-            edge_ids.append(eid)
-            u = v
-        cycles.append(Cycle(tuple(edge_ids)))
-    return CycleSet(tuple(cycles))
+def max_size_successors(g: ColoredDigraph) -> list[int]:
+    """Optimal successor configuration: ``successor[u]`` is the item u gives
+    to, or -1 when u keeps its item.  Deterministic for a fixed input."""
+    # a square full matching lists every row in order, so the columns are
+    # the successors
+    _, heads = min_weight_full_bipartite_matching(assignment_costs(g))
+    succ = g.out_neighbors
+    return [-1 if v == u and u not in succ[u] else v for u, v in enumerate(heads.tolist())]
 
 
 def solve_max_size(g: ColoredDigraph) -> CycleSet:
-    """A vertex-disjoint cycle set covering the maximum number of vertices."""
-    matching = solve_assignment(build_assignment_instance(g))
-    return matching_to_cycle_set(g, matching)
+    """A vertex-disjoint cycle set covering the maximum number of vertices,
+    in canonical form."""
+    return cycle_set_from_successors(g, max_size_successors(g))

@@ -1,13 +1,15 @@
 """Command-line surface tying the solvers, reductions and formats together.
 
 Exit codes: 0 success (or decision "yes"), 1 decision "no", 2 input error,
-3 search budget exceeded.
+3 search budget exceeded, 4 internal failure (the solver ran out of stack
+or memory; the question is left unanswered).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .approx import approx_jpc
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
@@ -216,7 +219,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs about
+    ten times as much as a parse."""
     parser = argparse.ArgumentParser(
         prog="barterclear",
         description="Barter-exchange clearing over vertex-colored trading graphs",
@@ -300,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -21,9 +21,10 @@ from time import monotonic
 
 from .assignment import solve_max_size
 from .graph import (
-    Cycle,
     ColoredDigraph,
     CycleSet,
+    cycle_set_from_successors,
+    successor_cycles,
     validate_cycle_set,
 )
 
@@ -60,40 +61,6 @@ DEFAULT_BUDGET = SearchBudget()
 class SearchStats:
     nodes: int
     seconds: float
-
-
-def _decompose(choice: list[int], n: int) -> tuple[tuple[int, ...], ...]:
-    """Cycles of a complete successor configuration, as vertex tuples.
-
-    Scanning start vertices in ascending order roots every cycle at its
-    smallest vertex and orders cycles by it, so the result doubles as the
-    canonical comparison key for tie-breaking.
-    """
-    visited = [False] * n
-    out = []
-    for start in range(n):
-        if choice[start] < 0 or visited[start]:
-            continue
-        cyc = []
-        u = start
-        while not visited[u]:
-            visited[u] = True
-            cyc.append(u)
-            u = choice[u]
-        out.append(tuple(cyc))
-    return tuple(out)
-
-
-def _choice_to_cycle_set(g: ColoredDigraph, choice: list[int]) -> CycleSet:
-    cycles = []
-    for vertices in _decompose(choice, g.vertex_count):
-        edge_ids = []
-        for i, u in enumerate(vertices):
-            eid = g.edge_id_between(u, vertices[(i + 1) % len(vertices)])
-            assert eid is not None
-            edge_ids.append(eid)
-        cycles.append(Cycle(tuple(edge_ids)))
-    return CycleSet(tuple(cycles))
 
 
 def _search(
@@ -149,11 +116,11 @@ def _search(
             if inc_key is None or key > inc_key:
                 inc_key = key
                 inc_choice = choice.copy()
-                inc_canon = _decompose(choice, n)
+                inc_canon = successor_cycles(choice)
                 if key == perfect_key:
                     stop = True
             elif key == inc_key:
-                canon = _decompose(choice, n)
+                canon = successor_cycles(choice)
                 if canon < inc_canon:
                     inc_choice = choice.copy()
                     inc_canon = canon
@@ -204,7 +171,7 @@ def _search(
 
     rec(0, 0, 0)
     assert inc_choice is not None, "empty configuration is always admissible"
-    return _choice_to_cycle_set(g, inc_choice), nodes
+    return cycle_set_from_successors(g, inc_choice), nodes
 
 
 def solve_with_stats(
@@ -297,9 +264,9 @@ def brute_force_best(g: ColoredDigraph, objective: Objective) -> CycleSet:
             if best_key is None or key > best_key:
                 best_key = key
                 best_choice = choice.copy()
-                best_canon = _decompose(choice, n)
+                best_canon = successor_cycles(choice)
             elif key == best_key:
-                canon = _decompose(choice, n)
+                canon = successor_cycles(choice)
                 if canon < best_canon:
                     best_choice = choice.copy()
                     best_canon = canon
@@ -329,4 +296,4 @@ def brute_force_best(g: ColoredDigraph, objective: Objective) -> CycleSet:
 
     rec(0, 0, 0)
     assert best_choice is not None
-    return _choice_to_cycle_set(g, best_choice)
+    return cycle_set_from_successors(g, best_choice)

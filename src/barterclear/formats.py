@@ -237,7 +237,9 @@ def serialize_wantlist(g: ColoredDigraph, names: tuple[str, ...]) -> str:
 
 def parse_dimacs(text: str) -> CnfInstance:
     """Parse standard DIMACS CNF (``p cnf <vars> <clauses>`` header,
-    zero-terminated clauses, ``c`` comment lines)."""
+    zero-terminated clauses, ``c`` comment lines).  A line whose first token
+    is ``%`` ends the formula, as in the SATLIB benchmark files; the rest of
+    the text is ignored."""
     num_vars: int | None = None
     num_clauses: int | None = None
     clauses: list[tuple[int, ...]] = []
@@ -246,6 +248,8 @@ def parse_dimacs(text: str) -> CnfInstance:
     for lineno, tokens in _records(text):
         if tokens[0] == "c":
             continue
+        if tokens[0] == "%":
+            break
         if tokens[0] == "p":
             if num_vars is not None:
                 raise ParseError("duplicate 'p cnf' header", lineno)

@@ -243,6 +243,36 @@ def cycle_from_vertices(g: ColoredDigraph, vertices: Sequence[int]) -> Cycle:
     return Cycle(tuple(edge_ids))
 
 
+def successor_cycles(successor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of a successor configuration, as vertex tuples.
+
+    ``successor[u]`` is the vertex u gives its item to, or -1 when u stays
+    out of the trade; the vertices in the trade must form a permutation.
+    Scanning start vertices in ascending order roots every cycle at its
+    smallest vertex and orders cycles by it, so the result is canonical and
+    doubles as a comparison key for tie-breaking.
+    """
+    visited = [False] * len(successor)
+    out = []
+    for start in range(len(successor)):
+        if successor[start] < 0 or visited[start]:
+            continue
+        cyc = []
+        u = start
+        while not visited[u]:
+            visited[u] = True
+            cyc.append(u)
+            u = successor[u]
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
+def cycle_set_from_successors(g: ColoredDigraph, successor: Sequence[int]) -> CycleSet:
+    """The canonical cycle set of a successor configuration of ``g``
+    (see ``successor_cycles``); parallel edges resolve to the lowest edge id."""
+    return CycleSet(tuple(cycle_from_vertices(g, c) for c in successor_cycles(successor)))
+
+
 def without_self_loops(g: ColoredDigraph) -> ColoredDigraph:
     """Copy of the graph with all self-loop edges removed (barter semantics)."""
     kept = tuple(e for e in g.edges if e[0] != e[1])

@@ -202,3 +202,51 @@ def test_gen_bad_parameters_exit_code(tmp_path, capsys):
     assert main(["gen", "--vertices", "3", "--colors", "9", "--edge-prob", "0.5",
                  "--seed", "1", "--output", str(tmp_path / "g")]) == 2
     capsys.readouterr()
+
+
+def test_main_runs_repeatedly_in_one_process(conflict_file, tmp_path, capsys):
+    solution = tmp_path / "out.sol"
+    clear = ["clear", "--input", str(conflict_file), "--objective", "max-size",
+             "--output", str(solution)]
+    for _ in range(2):
+        assert main(clear) == 0
+        assert bc.parse_report(capsys.readouterr().out).vertex_count == 3
+        assert main(["verify", "--graph", str(conflict_file),
+                     "--solution", str(solution)]) == 0
+        assert "vertices 3" in capsys.readouterr().out
+        assert main(["clear", "--input", str(tmp_path / "nope.graph"),
+                     "--objective", "tex", "--output", str(solution)]) == 2
+        assert "error" in capsys.readouterr().err
+        with pytest.raises(SystemExit):  # argparse rejects an unknown objective
+            main(["clear", "--input", str(conflict_file), "--objective", "most",
+                  "--output", str(solution)])
+        capsys.readouterr()
+        assert main(["decide", "--input", str(conflict_file), "--objective", "exchange-x",
+                     "--x", "3"]) == 0
+        assert capsys.readouterr().out.startswith("YES")
+
+
+def test_internal_failure_exit_code(tmp_path, capsys):
+    # the branch and bound recurses once per vertex: a long ring exhausts the stack
+    n = 1200
+    ring = tmp_path / "ring.graph"
+    ring.write_text("".join(f"V v{i} c{i}\n" for i in range(n))
+                    + "".join(f"E v{i} v{(i + 1) % n}\n" for i in range(n)))
+    assert main(["clear", "--input", str(ring), "--objective", "tex",
+                 "--output", str(tmp_path / "out.sol")]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: internal failure: RecursionError")
+    assert "Traceback" not in captured.err + captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_reduce_accepts_satlib_percent_trailer(tmp_path, capsys):
+    outputs = []
+    for name, text in (("plain", DIMACS_A), ("uf", DIMACS_A + "%\n0\n\n")):
+        cnf = tmp_path / f"{name}.cnf"
+        cnf.write_text(text)
+        graph, gmap = tmp_path / f"{name}.graph", tmp_path / f"{name}.map"
+        assert main(["reduce", "--cnf", str(cnf), "--output", str(graph),
+                     "--map", str(gmap)]) == 0
+        outputs.append((capsys.readouterr().out, graph.read_text(), gmap.read_text()))
+    assert outputs[0] == outputs[1]  # the trailer changes nothing

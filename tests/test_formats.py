@@ -152,6 +152,12 @@ def test_dimacs_structural_errors():
         bc.parse_dimacs("p cnf 1 2\n1 0\n")
 
 
+def test_dimacs_satlib_percent_trailer_ends_the_formula():
+    # SATLIB uf* files end in a '%' line followed by a lone '0'
+    assert bc.parse_dimacs("p cnf 2 2\n1 -2 0\n2 0\n%\n0\n\n") == CNF_A
+    assert bc.parse_dimacs("p cnf 1 2\n1 0\n-1 0\n% anything\nnot dimacs 0\n") == CNF_B
+
+
 def test_gen_random_trivial_cases():
     assert bc.gen_random(0, 0, 0.5, 1) == bc.build_graph([], [])
     g = bc.gen_random(5, 5, 0.0, 7)

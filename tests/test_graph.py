@@ -131,6 +131,15 @@ def test_cycle_from_vertices_prefers_lowest_parallel_edge():
     assert c.edge_ids == (0, 2)
 
 
+def test_successor_cycles_are_canonical():
+    # 4 -> 0 -> 2 -> 4 is rooted at 0; 3 trades along its self-loop; 1 keeps
+    assert bc.successor_cycles([2, -1, 4, 3, 0]) == ((0, 2, 4), (3,))
+    g = bc.build_graph([0] * 5, [(4, 0), (3, 3), (0, 2), (2, 4), (0, 2)])
+    s = bc.cycle_set_from_successors(g, [2, -1, 4, 3, 0])
+    assert s == bc.CycleSet((bc.Cycle((2, 3, 0)), bc.Cycle((1,))))
+    assert bc.canonical_cycle_set(g, s) == s
+
+
 def test_without_self_loops():
     g = bc.build_graph([0, 1], [(0, 0), (0, 1), (1, 0), (1, 1)])
     trimmed = bc.without_self_loops(g)
