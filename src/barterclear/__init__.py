@@ -33,6 +33,7 @@ from .formats import (
     RunReport,
     UnknownWantedItem,
     gen_random,
+    parse_cycles,
     parse_dimacs,
     parse_gadget_map,
     parse_graph,
@@ -44,6 +45,7 @@ from .formats import (
     serialize_report,
     serialize_solution,
     serialize_wantlist,
+    solution_cycles,
 )
 from .graph import (
     BrokenChain,
@@ -74,11 +76,13 @@ from .reductions import (
     LReductionCheck,
     ReductionArtifact,
     add_balance_vertices,
+    assignment_from_loops,
     build_2pc_graph,
     build_sat_graph,
     clause_colors_covered,
     extract_assignment,
     full_selection,
+    gadget_map,
     l_reduction_check,
 )
 from .sat import (

@@ -9,22 +9,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
 from .approx import approx_jpc
-from .assignment import solve_max_size
 from .exact import (
     BudgetExceeded,
     Objective,
     SearchBudget,
     brute_force_best,
-    solve_maxtex,
     solve_with_stats,
 )
 from .formats import (
     RunReport,
     gen_random,
+    parse_cycles,
     parse_dimacs,
     parse_gadget_map,
     parse_graph,
@@ -34,15 +34,20 @@ from .formats import (
     serialize_graph,
     serialize_report,
     serialize_solution,
-    _records,
+    solution_cycles,
 )
 from .graph import (
-    canonical_cycle_set,
-    cycle_vertices,
     validate_cycle_set,
     without_self_loops,
 )
-from .reductions import add_balance_vertices, build_2pc_graph, build_sat_graph
+from .reductions import (
+    InvalidSolution,
+    add_balance_vertices,
+    assignment_from_loops,
+    build_2pc_graph,
+    build_sat_graph,
+    gadget_map,
+)
 from .sat import is_satisfiable, max_satisfiable, satisfied_count
 
 EXIT_OK = 0
@@ -75,13 +80,6 @@ def _add_budget_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-secs", type=float, default=SearchBudget().time_limit)
 
 
-def _cycle_names(g, s, names) -> tuple[tuple[str, ...], ...]:
-    return tuple(
-        tuple(names[v] for v in cycle_vertices(g, c))
-        for c in canonical_cycle_set(g, s).cycles
-    )
-
-
 def cmd_clear(args: argparse.Namespace) -> int:
     g, names = _load_graph(args)
     if args.no_self_trades:
@@ -103,11 +101,10 @@ def cmd_clear(args: argparse.Namespace) -> int:
         vertex_count=metrics.vertex_count,
         color_count=metrics.color_count,
         total_colors=g.color_count,
-        traded_agents=metrics.color_count,
         nodes=nodes,
         seconds=seconds,
         guarantee=guarantee_text,
-        cycles=_cycle_names(g, solution, names),
+        cycles=solution_cycles(g, solution, names),
     )
     sys.stdout.write(serialize_report(report))
     if args.min_vertices is not None and metrics.vertex_count < args.min_vertices:
@@ -117,23 +114,15 @@ def cmd_clear(args: argparse.Namespace) -> int:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args)
-    budget = _budget(args)
-    if args.objective in ("exchange-x", "maxtex-x") and args.x is None:
+    threshold = args.objective.endswith("-x")
+    if threshold and args.x is None:
         raise ValueError(f"--x is required for {args.objective}")
-    if args.objective == "exchange-x":
-        metrics = validate_cycle_set(g, solve_max_size(g))
+    name = {"exchange-x": "max-size", "maxtex-x": "maxtex"}.get(args.objective, args.objective)
+    metrics = validate_cycle_set(g, solve_with_stats(g, Objective(name), _budget(args))[0])
+    if threshold:  # at least x vertices
         answer = metrics.vertex_count >= args.x
-    elif args.objective == "tex":
-        metrics = validate_cycle_set(g, solve_with_stats(g, Objective.MAX_COLORS, budget)[0])
+    else:  # every color
         answer = metrics.color_count == g.color_count
-    elif args.objective == "tmaxex":
-        metrics = validate_cycle_set(
-            g, solve_with_stats(g, Objective.MAX_COLORS_AMONG_MAX_VERTICES, budget)[0]
-        )
-        answer = metrics.color_count == g.color_count
-    else:  # maxtex-x
-        metrics = validate_cycle_set(g, solve_maxtex(g, budget))
-        answer = metrics.vertex_count >= args.x
     print("YES" if answer else "NO")
     print(f"vertices {metrics.vertex_count}")
     print(f"colors {metrics.color_count} of {g.color_count}")
@@ -149,7 +138,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     else:
         art = build_2pc_graph(cnf)
     Path(args.output).write_text(serialize_graph(art.graph))
-    Path(args.map).write_text(serialize_gadget_map(art))
+    Path(args.map).write_text(serialize_gadget_map(gadget_map(art)))
     print(f"vertices {art.graph.vertex_count}")
     print(f"colors {art.graph.color_count}")
     print(f"balance-vertices {art.num_balance}")
@@ -158,19 +147,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_pullback(args: argparse.Namespace) -> int:
     gm = parse_gadget_map(Path(args.map).read_text())
-    chosen: list[frozenset[str]] = []
-    for lineno, tokens in _records(Path(args.solution).read_text()):
-        if tokens[0] != "C" or len(tokens) < 2:
-            raise ValueError(f"solution line {lineno}: expected 'C <vertices>'")
-        chosen.append(frozenset(tokens[1:]))
-    assignment = {}
-    for i in range(1, gm.num_vars + 1):
-        if frozenset(gm.true_loops[i]) in chosen:
-            assignment[i] = True
-        elif frozenset(gm.false_loops[i]) in chosen:
-            assignment[i] = False
-        else:
-            assignment[i] = True  # unselected variables default to TRUE
+    cycles = parse_cycles(Path(args.solution).read_text())
+    names = [v for cycle in cycles for v in cycle]
+    if len(set(names)) < len(names):
+        shared = next(v for v, count in Counter(names).items() if count > 1)
+        raise InvalidSolution(f"vertex {shared} is in two cycles")
+    # the map has no graph, so a loop is named by its set of vertex names
+    loops = [(frozenset(gm.true_loops[i]), frozenset(gm.false_loops[i]))
+             for i in range(1, gm.num_vars + 1)]
+    assignment = assignment_from_loops(loops, {frozenset(c) for c in cycles})
     for i in range(1, gm.num_vars + 1):
         print(f"x{i} {'T' if assignment[i] else 'F'}")
     cnf = gm.cnf()

@@ -16,7 +16,6 @@ import random
 from dataclasses import dataclass, field
 
 from .graph import (
-    Cycle,
     ColoredDigraph,
     CycleSet,
     build_graph,
@@ -25,7 +24,6 @@ from .graph import (
     cycle_vertices,
     NonexistentEdge,
 )
-from .reductions import ReductionArtifact
 from .sat import CnfInstance, EmptyClause, LiteralOutOfRange
 
 
@@ -133,16 +131,38 @@ def parse_graph(text: str) -> tuple[ColoredDigraph, tuple[str, ...]]:
 # solution files
 
 
+def solution_cycles(
+    g: ColoredDigraph, s: CycleSet, names: tuple[str, ...] | None = None
+) -> tuple[tuple[str, ...], ...]:
+    """The canonical cycles of ``s`` (rotated and sorted) as vertex-name tuples."""
+    if names is None:
+        names = tuple(str(v) for v in range(g.vertex_count))
+    return tuple(
+        tuple(names[v] for v in cycle_vertices(g, c)) for c in canonical_cycle_set(g, s).cycles
+    )
+
+
 def serialize_solution(
     g: ColoredDigraph, s: CycleSet, names: tuple[str, ...] | None = None
 ) -> str:
-    """Canonical solution text form (cycles rotated and sorted)."""
-    if names is None:
-        names = tuple(str(v) for v in range(g.vertex_count))
-    lines = []
-    for cycle in canonical_cycle_set(g, s).cycles:
-        lines.append("C " + " ".join(names[v] for v in cycle_vertices(g, cycle)))
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Canonical solution text form; ``parse_cycles`` reads its cycles back."""
+    return "".join("C " + " ".join(cycle) + "\n" for cycle in solution_cycles(g, s, names))
+
+
+def _cycle_records(text: str):
+    """(line_number, vertex names) of each ``C v1 v2 ... vk`` record."""
+    for lineno, tokens in _records(text):
+        if tokens[0] != "C":
+            raise ParseError(f"unknown record type {tokens[0]!r}", lineno)
+        if len(tokens) < 2:
+            raise ParseError("C record needs at least one vertex", lineno)
+        yield lineno, tuple(tokens[1:])
+
+
+def parse_cycles(text: str) -> tuple[tuple[str, ...], ...]:
+    """The ``C`` records of a solution file as vertex-name tuples, in file
+    order, without a graph to check them against."""
+    return tuple(cycle for _, cycle in _cycle_records(text))
 
 
 def parse_solution(
@@ -157,13 +177,9 @@ def parse_solution(
         names = tuple(str(v) for v in range(g.vertex_count))
     index = {name: v for v, name in enumerate(names)}
     cycles = []
-    for lineno, tokens in _records(text):
-        if tokens[0] != "C":
-            raise ParseError(f"unknown record type {tokens[0]!r}", lineno)
-        if len(tokens) < 2:
-            raise ParseError("C record needs at least one vertex", lineno)
+    for lineno, cycle in _cycle_records(text):
         vertices = []
-        for token in tokens[1:]:
+        for token in cycle:
             if token not in index:
                 raise ParseError(f"unknown vertex {token!r}", lineno)
             vertices.append(index[token])
@@ -341,30 +357,23 @@ class GadgetMap:
         return CnfInstance(self.num_vars, self.clauses)
 
 
-def serialize_gadget_map(
-    art: ReductionArtifact, names: tuple[str, ...] | None = None
-) -> str:
-    """Sidecar map for a gadget graph emitted with the same vertex names.
+def serialize_gadget_map(gm: GadgetMap) -> str:
+    """Sidecar map text form; ``parse_gadget_map`` gives ``gm`` back.
 
     ``VAR i TRUE|FALSE <vertices>`` lists each loop in cycle order;
     ``CLAUSECOLOR j <label>`` and ``BALANCECOLOR <labels>`` name the special
     colors; ``CLAUSE j <literals>`` repeats the source clauses so the
     pullback can count satisfied clauses.
     """
-    g = art.graph
-    if names is None:
-        names = tuple(str(v) for v in range(g.vertex_count))
     lines = []
-    for i in range(1, art.cnf.num_vars + 1):
-        for tag, loop in (("TRUE", art.true_loops[i - 1]), ("FALSE", art.false_loops[i - 1])):
-            loop_names = " ".join(names[v] for v in cycle_vertices(g, loop))
-            lines.append(f"VAR {i} {tag} {loop_names}")
-    for j, color in enumerate(art.clause_colors, start=1):
-        lines.append(f"CLAUSECOLOR {j} {g.color_label(color)}")
-    if art.balance_colors:
-        ordered = sorted(art.balance_colors)
-        lines.append("BALANCECOLOR " + " ".join(g.color_label(c) for c in ordered))
-    for j, clause in enumerate(art.cnf.clauses, start=1):
+    for i in range(1, gm.num_vars + 1):
+        for tag, loop in (("TRUE", gm.true_loops[i]), ("FALSE", gm.false_loops[i])):
+            lines.append(f"VAR {i} {tag} " + " ".join(loop))
+    for j, label in sorted(gm.clause_color_labels.items()):
+        lines.append(f"CLAUSECOLOR {j} {label}")
+    if gm.balance_color_labels:
+        lines.append("BALANCECOLOR " + " ".join(gm.balance_color_labels))
+    for j, clause in enumerate(gm.clauses, start=1):
         lines.append(f"CLAUSE {j} " + " ".join(str(lit) for lit in clause))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -401,8 +410,8 @@ def parse_gadget_map(text: str) -> GadgetMap:
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)
 
-    num_vars = max(true_loops, default=0)
-    if set(true_loops) != set(false_loops) or set(true_loops) != set(range(1, num_vars + 1)):
+    num_vars = len(true_loops)
+    if set(true_loops) != set(false_loops) or not all(1 <= i <= num_vars for i in true_loops):
         raise ParseError("incomplete VAR loop records")
     ordered_clauses = tuple(clauses[j] for j in sorted(clauses))
     if set(clauses) != set(range(1, len(clauses) + 1)):
@@ -431,14 +440,13 @@ def _parse_int(token: str, lineno: int) -> int:
 @dataclass(frozen=True)
 class RunReport:
     """Summary of one clearing run; metrics always match a re-validation of
-    the emitted solution."""
+    the emitted solution.  ``color_count`` is also the number of agents trading."""
 
     objective: str
     method: str
     vertex_count: int
     color_count: int
     total_colors: int
-    traded_agents: int
     nodes: int
     seconds: float
     guarantee: str = ""
@@ -452,7 +460,6 @@ def serialize_report(report: RunReport) -> str:
         f"vertices {report.vertex_count}",
         f"colors {report.color_count}",
         f"total-colors {report.total_colors}",
-        f"traded-agents {report.traded_agents}",
         f"nodes {report.nodes}",
         f"seconds {report.seconds!r}",
     ]
@@ -464,6 +471,7 @@ def serialize_report(report: RunReport) -> str:
 
 
 def parse_report(text: str) -> RunReport:
+    """Unknown keys, like the ``traded-agents`` line of older reports, are ignored."""
     fields: dict[str, str] = {}
     cycles: list[tuple[str, ...]] = []
     for lineno, tokens in _records(text):
@@ -480,7 +488,6 @@ def parse_report(text: str) -> RunReport:
             vertex_count=int(fields["vertices"]),
             color_count=int(fields["colors"]),
             total_colors=int(fields["total-colors"]),
-            traded_agents=int(fields["traded-agents"]),
             nodes=int(fields["nodes"]),
             seconds=float(fields["seconds"]),
             guarantee=fields.get("guarantee", ""),

@@ -24,6 +24,7 @@ Three gadget flavors are built here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Hashable, Sequence
 
 from .exact import SearchBudget, solve_tex
 from .graph import (
@@ -37,6 +38,7 @@ from .graph import (
     cycle_vertices,
     validate_cycle_set,
 )
+from .formats import GadgetMap
 from .sat import CnfInstance, max_satisfiable, satisfied_count
 
 
@@ -86,6 +88,14 @@ def _empty_artifact(cnf: CnfInstance) -> ReductionArtifact:
     )
 
 
+def _add_loop(edges: list[tuple[int, int]], start: int, chain: list[int]) -> Cycle:
+    """Append the edges of start -> chain... -> start and return them as a cycle."""
+    path = [start] + chain
+    first = len(edges)
+    edges.extend(zip(path, path[1:] + [start]))
+    return Cycle(tuple(range(first, len(edges))))
+
+
 def _build_gadget(cnf: CnfInstance, unique_var_colors: bool) -> ReductionArtifact:
     n = cnf.num_vars
     q = cnf.num_clauses
@@ -104,37 +114,22 @@ def _build_gadget(cnf: CnfInstance, unique_var_colors: bool) -> ReductionArtifac
     clause_colors = tuple(first_clause_color + j for j in range(q))
 
     vertex_colors = list(var_colors)
-    positive_chain: list[list[int]] = [[] for _ in range(n)]
-    negative_chain: list[list[int]] = [[] for _ in range(n)]
+    # chains[2*i] and chains[2*i + 1] follow variable vertex i on its TRUE
+    # and its FALSE loop; the loops take edge ids in that order
+    chains: list[list[int]] = [[] for _ in range(2 * n)]
     for j, clause in enumerate(cnf.clauses):
         for lit in clause:
-            vid = len(vertex_colors)
+            chains[2 * (abs(lit) - 1) + (lit < 0)].append(len(vertex_colors))
             vertex_colors.append(clause_colors[j])
-            chain = positive_chain if lit > 0 else negative_chain
-            chain[abs(lit) - 1].append(vid)
 
     edges: list[tuple[int, int]] = []
-
-    def add_loop(start: int, chain: list[int]) -> Cycle:
-        path = [start] + chain
-        eids = []
-        for a, b in zip(path, path[1:] + [start]):
-            eids.append(len(edges))
-            edges.append((a, b))
-        return Cycle(tuple(eids))
-
-    true_loops = []
-    false_loops = []
-    for i in range(n):
-        true_loops.append(add_loop(i, positive_chain[i]))
-        false_loops.append(add_loop(i, negative_chain[i]))
-
+    loops = [_add_loop(edges, k // 2, chain) for k, chain in enumerate(chains)]
     return ReductionArtifact(
         graph=build_graph(vertex_colors, edges, labels),
         cnf=cnf,
         variable_vertex=tuple(range(n)),
-        true_loops=tuple(true_loops),
-        false_loops=tuple(false_loops),
+        true_loops=tuple(loops[0::2]),
+        false_loops=tuple(loops[1::2]),
         variable_colors=tuple(var_colors),
         clause_colors=clause_colors,
     )
@@ -176,7 +171,7 @@ def _pad(
     if not unique_balance_colors:
         labels.append("balance")
 
-    chains: list[list[int]] = []  # per loop, in (var asc, TRUE then FALSE) order
+    chains: list[list[int]] = []  # laid out as in _build_gadget
     for i in range(n):
         for loop in (art.true_loops[i], art.false_loops[i]):
             chain = list(cycle_vertices(g, loop)[1:])  # loop starts at the variable vertex
@@ -201,30 +196,17 @@ def _pad(
             vertex_colors.append(color)
 
     edges: list[tuple[int, int]] = []
-
-    def add_loop(start: int, chain: list[int]) -> Cycle:
-        path = [start] + chain
-        eids = []
-        for a, b in zip(path, path[1:] + [start]):
-            eids.append(len(edges))
-            edges.append((a, b))
-        return Cycle(tuple(eids))
-
-    true_loops = []
-    false_loops = []
-    for i in range(n):
-        true_loops.append(add_loop(i, chains[2 * i]))
-        false_loops.append(add_loop(i, chains[2 * i + 1]))
+    loops = [_add_loop(edges, k // 2, chain) for k, chain in enumerate(chains)]
     balance_cycle = None
     if with_balance_cycle and balance_cycle_vertices:
-        balance_cycle = add_loop(balance_cycle_vertices[0], balance_cycle_vertices[1:])
+        balance_cycle = _add_loop(edges, balance_cycle_vertices[0], balance_cycle_vertices[1:])
 
     return ReductionArtifact(
         graph=build_graph(vertex_colors, edges, labels),
         cnf=art.cnf,
         variable_vertex=art.variable_vertex,
-        true_loops=tuple(true_loops),
-        false_loops=tuple(false_loops),
+        true_loops=tuple(loops[0::2]),
+        false_loops=tuple(loops[1::2]),
         variable_colors=art.variable_colors,
         clause_colors=art.clause_colors,
         balance_vertices=tuple(balance_vertices),
@@ -259,6 +241,22 @@ def build_2pc_graph(cnf: CnfInstance) -> ReductionArtifact:
     return _pad(plain, unique_balance_colors=True, with_balance_cycle=True)
 
 
+def gadget_map(art: ReductionArtifact) -> GadgetMap:
+    """The artifact's sidecar map, naming vertex v by ``str(v)`` as
+    ``serialize_graph`` does by default."""
+    g = art.graph
+    n = art.cnf.num_vars
+    loops = [tuple(str(v) for v in cycle_vertices(g, c)) for c in art.true_loops + art.false_loops]
+    return GadgetMap(
+        num_vars=n,
+        true_loops=dict(enumerate(loops[:n], start=1)),
+        false_loops=dict(enumerate(loops[n:], start=1)),
+        clause_color_labels=dict(enumerate(map(g.color_label, art.clause_colors), start=1)),
+        balance_color_labels=tuple(map(g.color_label, sorted(art.balance_colors))),
+        clauses=art.cnf.clauses,
+    )
+
+
 def _canonical_cycles(art: ReductionArtifact, s: CycleSet) -> set[Cycle]:
     try:
         validate_cycle_set(art.graph, s)
@@ -267,22 +265,27 @@ def _canonical_cycles(art: ReductionArtifact, s: CycleSet) -> set[Cycle]:
     return {canonical_cycle(art.graph, c) for c in s.cycles}
 
 
+def assignment_from_loops(
+    loops: Sequence[tuple[Hashable, Hashable]], chosen: Collection[Hashable]
+) -> dict[int, bool]:
+    """The pullback rule: variable i is TRUE if its TRUE loop is chosen,
+    FALSE if its FALSE loop is, and defaults to TRUE when neither is.
+    ``loops[i-1]`` is variable i's (TRUE loop, FALSE loop), named any
+    hashable way, the same way as in ``chosen``."""
+    return {i: t in chosen or f not in chosen for i, (t, f) in enumerate(loops, start=1)}
+
+
 def extract_assignment(art: ReductionArtifact, s: CycleSet) -> dict[int, bool]:
     """Read a truth assignment off a cycle set of the gadget graph.
 
-    A variable is TRUE if its TRUE loop is among the cycles, FALSE if its
-    FALSE loop is, and defaults to TRUE when neither was selected.
+    Loops are compared as canonical cycles, by edge id, so the two parallel
+    self-loops of a variable in no clause stay apart.
     """
     chosen = _canonical_cycles(art, s)
-    assignment = {}
-    for i in range(1, art.cnf.num_vars + 1):
-        if canonical_cycle(art.graph, art.true_loops[i - 1]) in chosen:
-            assignment[i] = True
-        elif canonical_cycle(art.graph, art.false_loops[i - 1]) in chosen:
-            assignment[i] = False
-        else:
-            assignment[i] = True
-    return assignment
+    g = art.graph
+    loops = [(canonical_cycle(g, t), canonical_cycle(g, f))
+             for t, f in zip(art.true_loops, art.false_loops)]
+    return assignment_from_loops(loops, chosen)
 
 
 def clause_colors_covered(art: ReductionArtifact, s: CycleSet) -> int:

@@ -31,7 +31,6 @@ def test_gen_then_clear_then_verify(tmp_path, capsys):
                  "--method", "exact", "--output", str(solution)]) == 0
     report = bc.parse_report(capsys.readouterr().out)
     assert report.objective == "max-size"
-    assert report.traded_agents == report.color_count
     assert main(["verify", "--graph", str(graph), "--solution", str(solution)]) == 0
     out = capsys.readouterr().out
     assert f"vertices {report.vertex_count}" in out
@@ -153,6 +152,48 @@ def test_pullback_unselected_variables_default_true(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "x1 T" in out and "x2 T" in out
     assert "satisfied 2 of 2" in out  # all-TRUE happens to satisfy CNF_A
+
+
+def test_pullback_rejects_cycles_sharing_a_vertex(tmp_path, capsys):
+    cnf = tmp_path / "a.cnf"
+    cnf.write_text(DIMACS_A)
+    graph, gmap = tmp_path / "a.graph", tmp_path / "a.map"
+    assert main(["reduce", "--cnf", str(cnf), "--variant", "plain",
+                 "--output", str(graph), "--map", str(gmap)]) == 0
+    capsys.readouterr()
+    both = tmp_path / "both.sol"
+    both.write_text("C 0 2\nC 0\n")  # the TRUE and the FALSE loop of x1
+    for argv in (["verify", "--graph", str(graph)], ["pullback", "--map", str(gmap)]):
+        assert main(argv + ["--solution", str(both)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: vertex 0 is in two cycles")
+        assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_decide_matches_clear_for_every_objective(conflict_file, tmp_path, capsys):
+    cnf = tmp_path / "a.cnf"
+    cnf.write_text(DIMACS_A)
+    gadget, gmap = tmp_path / "a.graph", tmp_path / "a.map"
+    assert main(["reduce", "--cnf", str(cnf), "--variant", "balanced",
+                 "--output", str(gadget), "--map", str(gmap)]) == 0
+    capsys.readouterr()
+    decisions = {"exchange-x": "max-size", "tex": "tex", "tmaxex": "tmaxex",
+                 "maxtex-x": "maxtex"}
+    for graph in (conflict_file, gadget):
+        for decision, objective in decisions.items():
+            assert main(["clear", "--input", str(graph), "--objective", objective,
+                         "--output", str(tmp_path / "out.sol")]) == 0
+            report = bc.parse_report(capsys.readouterr().out)
+            code = main(["decide", "--input", str(graph), "--objective", decision, "--x", "3"])
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[1:] == [f"vertices {report.vertex_count}",
+                                 f"colors {report.color_count} of {report.total_colors}"]
+            if decision.endswith("-x"):
+                expected = report.vertex_count >= 3
+            else:
+                expected = report.color_count == report.total_colors
+            assert (lines[0], code) == (("YES", 0) if expected else ("NO", 1))
 
 
 def test_oracle_graph(conflict_file, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import barterclear as bc
-from conftest import CNF_A, CNF_B, small_graphs
+from conftest import CNF_A, CNF_B, CNF_C, small_graphs
 
 
 def test_graph_round_trip(g_pair, g_conflict, g_tie):
@@ -78,6 +78,22 @@ def test_solution_parse_errors(g_pair):
         bc.parse_solution("C 0\n", g_pair)  # no self-loop on vertex 0
     with pytest.raises(bc.ParseError, match="at least one vertex"):
         bc.parse_solution("C\n", g_pair)
+
+
+def test_parse_cycles_reads_names_without_a_graph():
+    assert bc.parse_cycles("# sol\nC a b\n\nC 7  # loop\n") == (("a", "b"), ("7",))
+    assert bc.parse_cycles("") == ()
+    with pytest.raises(bc.ParseError, match="line 2.*unknown record"):
+        bc.parse_cycles("C a\nX b\n")
+    with pytest.raises(bc.ParseError, match="line 1.*at least one vertex"):
+        bc.parse_cycles("C\n")
+
+
+def test_solution_parse_errors_carry_line_numbers(g_pair):
+    with pytest.raises(bc.ParseError, match="line 3.*unknown vertex"):
+        bc.parse_solution("C 0 1\n# comment\nC 7\n", g_pair)
+    with pytest.raises(bc.ParseError, match="line 2.*no edge"):
+        bc.parse_solution("\nC 1\n", g_pair)
 
 
 def test_wantlist_pair_up_to_relabeling(g_pair):
@@ -195,7 +211,7 @@ def test_gen_random_bad_parameters():
 
 def test_gadget_map_round_trip():
     art = bc.add_balance_vertices(bc.build_sat_graph(CNF_A))
-    gm = bc.parse_gadget_map(bc.serialize_gadget_map(art))
+    gm = bc.parse_gadget_map(bc.serialize_gadget_map(bc.gadget_map(art)))
     assert gm.num_vars == 2
     assert gm.clauses == CNF_A.clauses
     assert gm.cnf() == CNF_A
@@ -207,6 +223,26 @@ def test_gadget_map_round_trip():
     assert gm.clause_color_labels == {1: "clause1", 2: "clause2"}
 
 
+def test_gadget_map_serialize_parse_round_trip():
+    arts = [bc.build_sat_graph(CNF_A), bc.add_balance_vertices(bc.build_sat_graph(CNF_B)),
+            bc.build_2pc_graph(CNF_C), bc.build_sat_graph(bc.CnfInstance(0, ()))]
+    for art in arts:
+        gm = bc.gadget_map(art)
+        assert bc.parse_gadget_map(bc.serialize_gadget_map(gm)) == gm
+        assert gm.cnf() == art.cnf
+
+
+def test_gadget_map_rejects_incomplete_variables():
+    with pytest.raises(bc.ParseError, match="incomplete VAR"):
+        bc.parse_gadget_map("VAR 2 TRUE 1\nVAR 2 FALSE 1\n")
+    with pytest.raises(bc.ParseError, match="incomplete VAR"):
+        bc.parse_gadget_map("VAR 0 TRUE 1\nVAR 0 FALSE 1\n")
+    with pytest.raises(bc.ParseError, match="incomplete VAR"):
+        bc.parse_gadget_map("VAR 1 TRUE 1\nVAR 1 FALSE 1\nVAR 3 TRUE 2\nVAR 3 FALSE 2\n")
+    gm = bc.parse_gadget_map("VAR 2 TRUE 1\nVAR 2 FALSE 1\nVAR 1 TRUE 0\nVAR 1 FALSE 0\n")
+    assert gm.num_vars == 2
+
+
 def test_report_round_trip():
     report = bc.RunReport(
         objective="tex",
@@ -214,7 +250,6 @@ def test_report_round_trip():
         vertex_count=4,
         color_count=2,
         total_colors=3,
-        traded_agents=2,
         nodes=123,
         seconds=0.0456,
         guarantee="1/2",
@@ -224,7 +259,7 @@ def test_report_round_trip():
 
 
 def test_report_round_trip_without_guarantee():
-    report = bc.RunReport("max-size", "exact", 0, 0, 0, 0, 0, 0.0)
+    report = bc.RunReport("max-size", "exact", 0, 0, 0, 0, 0.0)
     assert bc.parse_report(bc.serialize_report(report)) == report
 
 
@@ -237,3 +272,11 @@ def test_generated_style_graphs_round_trip(g):
     assert reparsed == parsed
     assert parsed.edges == g.edges
     assert parsed.vertex_count == g.vertex_count
+
+
+def test_report_parse_ignores_old_traded_agents_line():
+    text = ("objective tex\nmethod exact\nvertices 4\ncolors 2\ntotal-colors 3\n"
+            "traded-agents 2\nnodes 123\nseconds 0.5\nC a b\n")
+    report = bc.parse_report(text)
+    assert report == bc.RunReport("tex", "exact", 4, 2, 3, 123, 0.5, cycles=(("a", "b"),))
+    assert "traded-agents" not in bc.serialize_report(report)

@@ -172,6 +172,39 @@ def test_extract_assignment_cnf_b():
     assert bc.satisfied_count(CNF_B, assignment) == 1
 
 
+def test_extract_assignment_tells_parallel_self_loops_apart():
+    # x2 is in no clause: its TRUE and FALSE loops are parallel self-loops
+    art = bc.build_sat_graph(bc.CnfInstance(2, ((1,),)))
+    assert bc.extract_assignment(art, bc.full_selection(art, {1: True, 2: False})) == {
+        1: True, 2: False}
+
+
+def test_assignment_from_loops_rule():
+    loops = [("t1", "f1"), ("t2", "f2"), ("t3", "f3")]
+    assert bc.assignment_from_loops(loops, {"f2", "t3"}) == {1: True, 2: False, 3: True}
+    assert bc.assignment_from_loops(loops, set()) == {1: True, 2: True, 3: True}
+    assert bc.assignment_from_loops([], {"t1"}) == {}
+
+
+def test_gadget_map_pullback_matches_extract_assignment():
+    # a solution file pulled back through the map by vertex names gives the
+    # assignment extract_assignment reads off the same file by edge ids
+    rng = random.Random(3)
+    for cnf in corpus_cnfs(20, seed=11, max_vars=4, max_clauses=4):
+        for art in (bc.build_sat_graph(cnf), bc.add_balance_vertices(bc.build_sat_graph(cnf))):
+            gm = bc.gadget_map(art)
+            loops = [(frozenset(gm.true_loops[i]), frozenset(gm.false_loops[i]))
+                     for i in range(1, gm.num_vars + 1)]
+            for _ in range(4):
+                picks = [rng.choice((None, art.true_loops[i], art.false_loops[i]))
+                         for i in range(cnf.num_vars)]
+                s = bc.CycleSet(tuple(c for c in picks if c is not None))
+                text = bc.serialize_solution(art.graph, s)
+                by_ids = bc.extract_assignment(art, bc.parse_solution(text, art.graph))
+                chosen = {frozenset(c) for c in bc.parse_cycles(text)}
+                assert bc.assignment_from_loops(loops, chosen) == by_ids
+
+
 def test_extract_assignment_rejects_invalid_solution():
     art = bc.build_sat_graph(CNF_A)
     overlapping = bc.CycleSet((art.true_loops[0], art.false_loops[0]))
