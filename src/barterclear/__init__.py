@@ -3,7 +3,7 @@
 Items are vertices, agents are colors, and a clearing is a set of
 vertex-disjoint simple cycles.  The package solves the polynomial
 max-vertex objective exactly as a sparse assignment problem, solves the
-NP-hard color-aware objectives exactly at desk scale by branch and bound,
+NP-hard color-aware objectives exactly at desk scale by a cycle search,
 carries the per-color-bound approximation, and compiles CNF formulas into
 gadget graphs whose clearings encode truth assignments.
 """
@@ -18,8 +18,6 @@ from .exact import (
     SearchStats,
     TooLarge,
     brute_force_best,
-    decide_tex,
-    decide_tmaxex,
     solve_maxtex,
     solve_tex,
     solve_tmaxex,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or decision "yes"), 1 decision "no", 2 input error,
 3 search budget exceeded, 4 internal failure (the solver ran out of stack
-or memory; the question is left unanswered).
+or memory, e.g. the color search on a clearing of more than about 990
+disjoint cycles; the question is left unanswered).
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g, names = parse_graph(Path(args.graph_file).read_text())
     s = parse_solution(Path(args.solution).read_text(), g, names)
-    metrics = validate_cycle_set(g, s)
+    metrics = validate_cycle_set(g, s, names)
     print(f"vertices {metrics.vertex_count}")
     print(f"colors {metrics.color_count} of {g.color_count}")
     print(f"tropical {'yes' if metrics.color_count == g.color_count else 'no'}")

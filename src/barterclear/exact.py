@@ -2,15 +2,19 @@
 
 Maximizing distinct colors (with or without a vertex-maximality side
 condition) is NP-hard, so these solvers are exponential-time and meant for
-desk-scale instances.  The search branches over per-vertex successor
-choices in ascending vertex order: each vertex either gives its item to one
-out-neighbor or stays out of the trade.  A partial configuration is
-abandoned when an optimistic bound on the undecided vertices cannot beat
-the incumbent.
+desk-scale instances.  The search is a branch and bound over closed cycles,
+the cycle formulation of Abraham, Blum & Sandholm (EC 2007).  A cycle is
+rooted at its smallest vertex, a cycle set lists its cycles by root, and a
+set is extended only by cycles rooted above its last root.  The cycles of a
+root come from a depth-first walk through the unused vertices above it that
+closes a cycle before extending it, so sets are visited in the
+lexicographic order of their canonical forms and the first optimum found is
+the least one.  The extensions from a root on are abandoned when an
+optimistic bound on them cannot beat the incumbent.
 
-``brute_force_best`` is the independent ground-truth oracle: the same
-successor-choice enumeration but with no bounds at all, returning the
-lexicographically least canonical optimum.
+``brute_force_best`` is the independent ground-truth oracle: an enumeration
+of successor choices with no bounds at all, returning the lexicographically
+least canonical optimum.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ from dataclasses import dataclass
 from enum import Enum
 from time import monotonic
 
-from .assignment import solve_max_size
+from scipy.sparse.csgraph import connected_components
+
+from .assignment import assignment_costs, solve_max_size
 from .graph import (
     ColoredDigraph,
     CycleSet,
+    cycle_from_vertices,
     cycle_set_from_successors,
     successor_cycles,
     validate_cycle_set,
@@ -38,6 +45,15 @@ class Objective(Enum):
     MAX_COLORS = "tex"
     MAX_COLORS_AMONG_MAX_VERTICES = "tmaxex"
     MAX_VERTICES_AMONG_MAX_COLORS = "maxtex"
+
+
+# each objective's key of (vertices, colors), compared as a tuple
+_KEYS = {
+    Objective.MAX_VERTICES: lambda v, c: (v,),
+    Objective.MAX_COLORS: lambda v, c: (c,),
+    Objective.MAX_COLORS_AMONG_MAX_VERTICES: lambda v, c: (v, c),
+    Objective.MAX_VERTICES_AMONG_MAX_COLORS: lambda v, c: (c, v),
+}
 
 
 class BudgetExceeded(RuntimeError):
@@ -59,119 +75,100 @@ DEFAULT_BUDGET = SearchBudget()
 
 @dataclass(frozen=True)
 class SearchStats:
+    """``nodes`` counts the cycle sets visited plus the steps of the walks
+    that look for cycles."""
+
     nodes: int
     seconds: float
 
 
-def _search(
-    g: ColoredDigraph,
-    budget: SearchBudget,
-    pair_key: bool,
-    required_vertices: int | None,
-) -> tuple[CycleSet, int]:
-    """Branch-and-bound core shared by the color-aware solvers.
+class _CycleSearch:
+    """The state of one search.  Methods rather than closures, so that a
+    finished search leaves no reference cycle behind."""
 
-    Maximizes distinct covered colors; with ``pair_key`` the key is
-    (colors, vertices) compared lexicographically.  With
-    ``required_vertices`` only configurations covering exactly that many
-    vertices are admissible (and partials that can no longer reach it are
-    pruned).  Returns the optimal configuration as a cycle set plus the
-    number of search nodes visited.
-    """
-    n = g.vertex_count
-    colors = g.vertex_colors
-    k = g.color_count
-    succ = g.out_neighbors
-    deadline = monotonic() + budget.time_limit
-    node_limit = budget.node_limit
+    def __init__(self, g: ColoredDigraph, budget: SearchBudget, key_of, v_cap: int) -> None:
+        self.succ = g.out_neighbors
+        self.colors = g.vertex_colors
+        self.key_of = key_of
+        self.v_cap = v_cap
+        # a vertex lies on a cycle iff it has a self-loop or a nontrivial
+        # strong component; a cycle never leaves its root's component
+        _, labels = connected_components(assignment_costs(g), directed=True, connection="strong")
+        labels = labels.tolist()
+        members = [0] * g.vertex_count
+        for v, label in enumerate(labels):
+            members[label] |= 1 << v
+        self.component = [members[label] for label in labels]
+        self.on_cycle = sum(1 << v for v, mask in enumerate(self.component)
+                            if mask != 1 << v or v in self.succ[v])
+        self.color_masks = [0] * g.color_count
+        for v, c in enumerate(self.colors):
+            if self.on_cycle >> v & 1:
+                self.color_masks[c] |= 1 << v
+        self.uses = [0] * g.color_count
+        self.chosen: list[tuple[int, ...]] = []
+        self.best: tuple[tuple[int, ...], ...] = ()  # the empty set, visited first
+        self.best_key = key_of(0, 0)
+        self.stop_key = key_of(v_cap, sum(1 for mask in self.color_masks if mask))
+        self.nodes = 0
+        self.node_limit = budget.node_limit
+        self.time_limit = budget.time_limit
+        self.deadline = monotonic() + budget.time_limit
 
-    undecided = [0] * k
-    for c in colors:
-        undecided[c] += 1
-    used_of_color = [0] * k
-    # avail = colors not covered yet that still have an undecided vertex;
-    # covered + avail is an admissible upper bound on final covered colors.
-    nodes = 0
-    covered = 0
-    avail = sum(1 for c in range(k) if undecided[c] > 0)
-    v_cnt = 0
-    stop = False
-    choice = [-1] * n
-    inc_key: tuple | None = None
-    inc_choice: list[int] | None = None
-    inc_canon: tuple | None = None
-    perfect_key = None if pair_key else (k,)
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.node_limit:
+            raise BudgetExceeded(f"node limit {self.node_limit} exceeded")
+        if self.nodes % 2048 == 0 and monotonic() > self.deadline:
+            raise BudgetExceeded(f"time limit {self.time_limit}s exceeded")
 
-    def rec(i: int, in_mask: int, used_mask: int) -> None:
-        nonlocal nodes, covered, avail, v_cnt, stop, inc_key, inc_choice, inc_canon
-        nodes += 1
-        if nodes > node_limit:
-            raise BudgetExceeded(f"node limit {node_limit} exceeded")
-        if nodes % 2048 == 0 and monotonic() > deadline:
-            raise BudgetExceeded(f"time limit {budget.time_limit}s exceeded")
-        if i == n:
-            if required_vertices is not None and v_cnt != required_vertices:
-                return
-            key = (covered, v_cnt) if pair_key else (covered,)
-            if inc_key is None or key > inc_key:
-                inc_key = key
-                inc_choice = choice.copy()
-                inc_canon = successor_cycles(choice)
-                if key == perfect_key:
-                    stop = True
-            elif key == inc_key:
-                canon = successor_cycles(choice)
-                if canon < inc_canon:
-                    inc_choice = choice.copy()
-                    inc_canon = canon
-            return
-        remaining = n - i
-        if required_vertices is not None and v_cnt + remaining < required_vertices:
-            return
-        if inc_key is not None:
-            bound = (covered + avail, v_cnt + remaining) if pair_key else (covered + avail,)
-            if bound <= inc_key:
-                return
-        c = colors[i]
-        bit = 1 << i
-        for w in succ[i]:
-            if stop:
-                return
-            wbit = 1 << w
-            if in_mask & wbit:
-                continue  # w already receives an item
-            if w < i and not (used_mask & wbit):
-                continue  # w already decided out of the trade
-            choice[i] = w
-            undecided[c] -= 1
-            newly_covered = used_of_color[c] == 0
-            used_of_color[c] += 1
-            if newly_covered:
-                covered += 1
-                avail -= 1
-            v_cnt += 1
-            rec(i + 1, in_mask | wbit, used_mask | bit)
-            v_cnt -= 1
-            used_of_color[c] -= 1
-            if newly_covered:
-                covered -= 1
-                avail += 1
-            undecided[c] += 1
-        choice[i] = -1
-        if not (in_mask & bit) and not stop:
-            # i receives nothing so far, so staying out is admissible
-            undecided[c] -= 1
-            dropped = used_of_color[c] == 0 and undecided[c] == 0
-            if dropped:
-                avail -= 1
-            rec(i + 1, in_mask, used_mask)
-            if dropped:
-                avail += 1
-            undecided[c] += 1
-
-    rec(0, 0, 0)
-    assert inc_choice is not None, "empty configuration is always admissible"
-    return cycle_set_from_successors(g, inc_choice), nodes
+    def visit(self, start: int, used: int, v: int, covered: int) -> bool:
+        """Visit the chosen set, then its extensions by cycles rooted at
+        ``start`` or above; True once the incumbent cannot be beaten."""
+        self.tick()
+        key_of, uses, colors, chosen = self.key_of, self.uses, self.colors, self.chosen
+        key = key_of(v, covered)
+        if key > self.best_key:
+            self.best_key, self.best = key, tuple(chosen)
+            if key == self.stop_key:
+                return True
+        free = self.on_cycle & ~used & -1 << start
+        open_colors = [mask for c, mask in enumerate(self.color_masks)
+                       if mask & free and not uses[c]]
+        while free:
+            root = (free & -free).bit_length() - 1
+            open_colors = [mask for mask in open_colors if mask & free]
+            bound = key_of(min(self.v_cap, v + free.bit_count()), covered + len(open_colors))
+            if bound <= self.best_key:
+                return False
+            free ^= 1 << root
+            allowed = self.component[root] & free
+            path = [root]
+            stack = [iter(self.succ[root])]
+            while stack:
+                for w in stack[-1]:
+                    if w == root:
+                        new, taken = 0, used
+                        for u in path:
+                            new += not uses[colors[u]]
+                            uses[colors[u]] += 1
+                            taken |= 1 << u
+                        chosen.append(tuple(path))
+                        if self.visit(root + 1, taken, v + len(path), covered + new):
+                            return True
+                        chosen.pop()
+                        for u in path:
+                            uses[colors[u]] -= 1
+                    elif allowed >> w & 1:
+                        self.tick()
+                        allowed ^= 1 << w
+                        path.append(w)
+                        stack.append(iter(self.succ[w]))
+                        break
+                else:
+                    stack.pop()
+                    allowed |= 1 << path.pop()
+        return False
 
 
 def solve_with_stats(
@@ -179,21 +176,23 @@ def solve_with_stats(
     objective: Objective,
     budget: SearchBudget | None = None,
 ) -> tuple[CycleSet, SearchStats]:
-    """Solve under any of the four objectives, reporting search effort."""
-    budget = budget or DEFAULT_BUDGET
+    """Solve under any of the four objectives, reporting search effort.
+
+    The color-aware objectives search cycle sets with at most v* vertices:
+    the ``max-size`` optimum for ``tmaxex`` and ``maxtex``, the vertex count
+    for ``tex``, whose key ignores vertices.
+    """
     t0 = monotonic()
     if objective is Objective.MAX_VERTICES:
-        result, nodes = solve_max_size(g), 0
-    elif objective is Objective.MAX_COLORS:
-        result, nodes = _search(g, budget, pair_key=False, required_vertices=None)
-    elif objective is Objective.MAX_COLORS_AMONG_MAX_VERTICES:
-        v_star = validate_cycle_set(g, solve_max_size(g)).vertex_count
-        result, nodes = _search(g, budget, pair_key=False, required_vertices=v_star)
-    elif objective is Objective.MAX_VERTICES_AMONG_MAX_COLORS:
-        result, nodes = _search(g, budget, pair_key=True, required_vertices=None)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown objective {objective}")
-    return result, SearchStats(nodes, monotonic() - t0)
+        return solve_max_size(g), SearchStats(0, monotonic() - t0)
+    if objective is Objective.MAX_COLORS:
+        v_cap = g.vertex_count
+    else:
+        v_cap = validate_cycle_set(g, solve_max_size(g)).vertex_count
+    search = _CycleSearch(g, budget or DEFAULT_BUDGET, _KEYS[objective], v_cap)
+    search.visit(0, 0, 0, 0)
+    result = CycleSet(tuple(cycle_from_vertices(g, c) for c in search.best))
+    return result, SearchStats(search.nodes, monotonic() - t0)
 
 
 def solve_tex(g: ColoredDigraph, budget: SearchBudget | None = None) -> CycleSet:
@@ -201,22 +200,10 @@ def solve_tex(g: ColoredDigraph, budget: SearchBudget | None = None) -> CycleSet
     return solve_with_stats(g, Objective.MAX_COLORS, budget)[0]
 
 
-def decide_tex(g: ColoredDigraph, budget: SearchBudget | None = None) -> bool:
-    """Can some cycle set cover every color in the graph?"""
-    best = solve_tex(g, budget)
-    return validate_cycle_set(g, best).color_count == g.color_count
-
-
 def solve_tmaxex(g: ColoredDigraph, budget: SearchBudget | None = None) -> CycleSet:
     """Maximum colors among the cycle sets that cover the maximum number of
     vertices (the vertex optimum is fixed first, via the assignment solver)."""
     return solve_with_stats(g, Objective.MAX_COLORS_AMONG_MAX_VERTICES, budget)[0]
-
-
-def decide_tmaxex(g: ColoredDigraph, budget: SearchBudget | None = None) -> bool:
-    """Does some vertex-maximum cycle set cover every color?"""
-    best = solve_tmaxex(g, budget)
-    return validate_cycle_set(g, best).color_count == g.color_count
 
 
 def solve_maxtex(g: ColoredDigraph, budget: SearchBudget | None = None) -> CycleSet:
@@ -239,15 +226,7 @@ def brute_force_best(g: ColoredDigraph, objective: Objective) -> CycleSet:
     colors = g.vertex_colors
     k = g.color_count
     succ = g.out_neighbors
-
-    if objective is Objective.MAX_VERTICES:
-        key_of = lambda v, c: (v,)
-    elif objective is Objective.MAX_COLORS:
-        key_of = lambda v, c: (c,)
-    elif objective is Objective.MAX_COLORS_AMONG_MAX_VERTICES:
-        key_of = lambda v, c: (v, c)
-    else:
-        key_of = lambda v, c: (c, v)
+    key_of = _KEYS[objective]
 
     used_of_color = [0] * k
     choice = [-1] * n

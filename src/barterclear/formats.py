@@ -186,7 +186,9 @@ def parse_solution(
         try:
             cycles.append(cycle_from_vertices(g, vertices))
         except NonexistentEdge as exc:
-            raise ParseError(str(exc), lineno) from exc
+            u, w = next((u, w) for u, w in zip(cycle, cycle[1:] + cycle[:1])
+                        if g.edge_id_between(index[u], index[w]) is None)
+            raise ParseError(f"no edge {u} -> {w}", lineno) from exc
     return CycleSet(tuple(cycles))
 
 

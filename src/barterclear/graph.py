@@ -171,14 +171,16 @@ def cycle_vertices(g: ColoredDigraph, cycle: Cycle) -> tuple[int, ...]:
     return tuple(g.edges[eid][0] for eid in cycle.edge_ids)
 
 
-def validate_cycle_set(g: ColoredDigraph, s: CycleSet) -> SolutionMetrics:
+def validate_cycle_set(
+    g: ColoredDigraph, s: CycleSet, names: Sequence[str] | None = None
+) -> SolutionMetrics:
     """Check that ``s`` is a set of vertex-disjoint simple cycles of ``g``.
 
     Returns the metrics (vertices covered, distinct colors covered) on
     success.  Raises NonexistentEdge, BrokenChain, RepeatedVertexInCycle or
-    OverlapBetweenCycles otherwise.  The check is objective-agnostic: any
-    set of vertex-disjoint simple cycles is accepted, including the empty
-    set.
+    OverlapBetweenCycles otherwise; ``names``, when given, names the
+    vertices in those messages.  The check is objective-agnostic: any set of
+    vertex-disjoint simple cycles is accepted, including the empty set.
     """
     seen: set[int] = set()
     covered_colors: set[int] = set()
@@ -195,10 +197,12 @@ def validate_cycle_set(g: ColoredDigraph, s: CycleSet) -> SolutionMetrics:
                     f"{next_eid} starts at {g.edges[next_eid][0]}"
                 )
         if len(set(vertices)) != len(vertices):
-            raise RepeatedVertexInCycle(f"cycle {vertices} is not simple")
+            shown = vertices if names is None else " ".join(names[v] for v in vertices)
+            raise RepeatedVertexInCycle(f"cycle {shown} is not simple")
         overlap = seen.intersection(vertices)
         if overlap:
-            raise OverlapBetweenCycles(f"vertex {min(overlap)} is in two cycles")
+            shared = min(overlap) if names is None else names[min(overlap)]
+            raise OverlapBetweenCycles(f"vertex {shared} is in two cycles")
         seen.update(vertices)
         covered_colors.update(g.vertex_colors[v] for v in vertices)
         total += len(vertices)

@@ -74,7 +74,7 @@ def test_criterion_3_reduction_soundness():
     failures: list[str] = []
     for idx, cnf in enumerate(corpus_cnfs(200, seed=CNF_CORPUS_SEED)):
         art = bc.build_sat_graph(cnf)
-        if bc.decide_tex(art.graph) != bc.is_satisfiable(cnf):
+        if bc.is_tropical(art.graph, bc.solve_tex(art.graph)) != bc.is_satisfiable(cnf):
             failures.append(f"cnf {idx}: decide_tex disagrees with the SAT oracle")
     _verdict(3, "plain-gadget soundness", failures)
 
@@ -87,7 +87,7 @@ def test_criterion_4_balanced_soundness():
         if len(lengths) != 1:
             failures.append(f"cnf {idx}: unequal loop lengths {sorted(lengths)}")
             continue
-        if bc.decide_tmaxex(art.graph) != bc.is_satisfiable(cnf):
+        if bc.is_tropical(art.graph, bc.solve_tmaxex(art.graph)) != bc.is_satisfiable(cnf):
             failures.append(f"cnf {idx}: decide_tmaxex disagrees with the SAT oracle")
     _verdict(4, "balanced-gadget soundness", failures)
 
@@ -191,7 +191,7 @@ def test_criterion_8_fixture_regressions(g_conflict):
             failures.append(f"{objective.value}: solver {solved} != {want}")
         if oracle != want:
             failures.append(f"{objective.value}: oracle {oracle} != {want}")
-    if bc.decide_tmaxex(g_conflict) is not False:
+    if bc.is_tropical(g_conflict, bc.solve_tmaxex(g_conflict)) is not False:
         failures.append("decide_tmaxex should be False")
     _verdict(8, "fixture regressions", failures)
 

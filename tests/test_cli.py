@@ -268,17 +268,43 @@ def test_main_runs_repeatedly_in_one_process(conflict_file, tmp_path, capsys):
 
 
 def test_internal_failure_exit_code(tmp_path, capsys):
-    # the branch and bound recurses once per vertex: a long ring exhausts the stack
+    # the search recurses once per chosen cycle: 1200 disjoint self-loops,
+    # each of its own color, exhaust the stack
     n = 1200
-    ring = tmp_path / "ring.graph"
-    ring.write_text("".join(f"V v{i} c{i}\n" for i in range(n))
-                    + "".join(f"E v{i} v{(i + 1) % n}\n" for i in range(n)))
-    assert main(["clear", "--input", str(ring), "--objective", "tex",
+    loops = tmp_path / "loops.graph"
+    loops.write_text("".join(f"V v{i} c{i}\nE v{i} v{i}\n" for i in range(n)))
+    assert main(["clear", "--input", str(loops), "--objective", "tex",
                  "--output", str(tmp_path / "out.sol")]) == 4
     captured = capsys.readouterr()
     assert captured.err.startswith("error: internal failure: RecursionError")
     assert "Traceback" not in captured.err + captured.out
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_clear_answers_long_ring(tmp_path, capsys):
+    # one cycle through 1200 vertices is found by an iterative walk
+    n = 1200
+    ring = tmp_path / "ring.graph"
+    ring.write_text("".join(f"V v{i} c{i}\n" for i in range(n))
+                    + "".join(f"E v{i} v{(i + 1) % n}\n" for i in range(n)))
+    assert main(["clear", "--input", str(ring), "--objective", "tex",
+                 "--output", str(tmp_path / "out.sol")]) == 0
+    assert "vertices 1200\n" in capsys.readouterr().out
+
+
+def test_verify_names_vertices_in_errors(conflict_file, tmp_path, capsys):
+    shared = tmp_path / "shared.sol"
+    shared.write_text("C b c a\nC d a\n")
+    assert main(["verify", "--graph", str(conflict_file), "--solution", str(shared)]) == 2
+    assert capsys.readouterr().err == "error: vertex a is in two cycles\n"
+    looped = tmp_path / "looped.graph"
+    looped.write_text(CONFLICT_GRAPH + "E a a\nE b a\n")
+    walk = tmp_path / "walk.sol"
+    walk.write_text("C a b a\n")
+    assert main(["verify", "--graph", str(looped), "--solution", str(walk)]) == 2
+    assert capsys.readouterr().err == "error: cycle a b a is not simple\n"
+    assert main(["verify", "--graph", str(conflict_file), "--solution", str(walk)]) == 2
+    assert capsys.readouterr().err == "error: line 1: no edge b -> a\n"
 
 
 def test_reduce_accepts_satlib_percent_trailer(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 
@@ -30,11 +32,12 @@ def test_solve_tex_empty():
 
 
 def test_decide_tex(g_pair, g_conflict):
-    assert bc.decide_tex(g_pair) is True
+    assert bc.is_tropical(g_pair, bc.solve_tex(g_pair)) is True
     # the 2-cycle a,d covers both red and blue
-    assert bc.decide_tex(g_conflict) is True
+    assert bc.is_tropical(g_conflict, bc.solve_tex(g_conflict)) is True
     # unsatisfiable formula: its gadget graph cannot cover all clause colors
-    assert bc.decide_tex(bc.build_sat_graph(CNF_B).graph) is False
+    contradiction = bc.build_sat_graph(CNF_B).graph
+    assert bc.is_tropical(contradiction, bc.solve_tex(contradiction)) is False
     assert bc.is_satisfiable(CNF_B) is False
 
 
@@ -57,10 +60,10 @@ def test_solve_tmaxex_tie_prefers_colors(g_tie):
 
 def test_decide_tmaxex(g_pair, g_conflict):
     # the only vertex-maximal clearing of g_conflict misses blue
-    assert bc.decide_tmaxex(g_conflict) is False
-    assert bc.decide_tmaxex(g_pair) is True
+    assert bc.is_tropical(g_conflict, bc.solve_tmaxex(g_conflict)) is False
+    assert bc.is_tropical(g_pair, bc.solve_tmaxex(g_pair)) is True
     balanced = bc.add_balance_vertices(bc.build_sat_graph(CNF_A))
-    assert bc.decide_tmaxex(balanced.graph) is True
+    assert bc.is_tropical(balanced.graph, bc.solve_tmaxex(balanced.graph)) is True
     assert bc.is_satisfiable(CNF_A) is True
 
 
@@ -105,13 +108,9 @@ def test_node_budget_exceeded(g_conflict):
 
 
 def test_time_budget_exceeded():
-    # dense rainbow market with one isolated vertex: tropicality is out of
-    # reach, so the search cannot stop early and must grind through the rest
-    import random
-
-    rng = random.Random(11)
-    edges = [(u, v) for u in range(11) for v in range(11) if u != v and rng.random() < 0.5]
-    g = bc.build_graph(list(range(12)), edges)
+    # a dense rainbow market: the search takes thousands of nodes, enough to
+    # reach a time check
+    g = bc.gen_random(16, 16, 0.3, seed=1)
     _, stats = bc.solve_with_stats(g, Objective.MAX_COLORS)
     assert stats.nodes > 2048, "instance must be big enough to reach a time check"
     with pytest.raises(bc.BudgetExceeded, match="time limit"):
@@ -141,6 +140,47 @@ def test_solvers_match_oracle_metrics(g):
 
 @settings(max_examples=80, deadline=None)
 @given(g=small_graphs())
+def test_solvers_return_the_oracle_cycle_set(g):
+    # both return the lexicographically least canonical optimum
+    for objective in (Objective.MAX_COLORS, Objective.MAX_COLORS_AMONG_MAX_VERTICES,
+                      Objective.MAX_VERTICES_AMONG_MAX_COLORS):
+        assert bc.solve_with_stats(g, objective)[0] == bc.brute_force_best(g, objective)
+
+
+# a planted 3-CNF (5 variables, 21 clauses): its plain and balanced gadgets
+# defeat a bound that ignores whether the chosen edges close into cycles
+FAULT_CNF = bc.CnfInstance(5, (
+    (1, 3, 5), (3, 2, 1), (4, -5, -3), (-3, 1, 2), (-4, 1, -2), (1, -4, -3), (2, -3, 1),
+    (-3, -5, -1), (-5, -1, -3), (4, 2, -5), (1, 5, -3), (-2, -1, 5), (1, 5, -2),
+    (-2, -1, 3), (-3, 4, 1), (-4, -2, 1), (5, -3, -1), (-4, 3, -5), (4, 5, 3),
+    (4, 5, 1), (3, 4, -1),
+))
+
+
+def test_fault_gadgets_are_cleared_tropically():
+    plain = bc.build_sat_graph(FAULT_CNF)
+    for art in (plain, bc.add_balance_vertices(plain)):
+        s = bc.solve_tex(art.graph)
+        assert bc.is_tropical(art.graph, s)
+        assignment = bc.extract_assignment(art, s)
+        assert bc.satisfied_count(FAULT_CNF, assignment) == FAULT_CNF.num_clauses
+
+
+def test_color_search_leaves_no_garbage():
+    g = bc.gen_random(16, 5, 0.3, seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        for objective in (Objective.MAX_COLORS, Objective.MAX_COLORS_AMONG_MAX_VERTICES,
+                          Objective.MAX_VERTICES_AMONG_MAX_COLORS):
+            bc.solve_with_stats(g, objective)
+            assert gc.collect() == 0, objective
+    finally:
+        gc.enable()
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=small_graphs())
 def test_chaining_and_ordering_identities(g):
     max_size = metrics_of(g, bc.solve_max_size(g))
     tex = metrics_of(g, bc.solve_tex(g))
@@ -156,8 +196,11 @@ def test_chaining_and_ordering_identities(g):
 @given(g=small_graphs())
 def test_decision_forms_follow_from_optima(g):
     k = g.color_count
-    assert bc.decide_tex(g) == (metrics_of(g, bc.solve_tex(g)).color_count == k)
-    assert bc.decide_tmaxex(g) == (metrics_of(g, bc.solve_tmaxex(g)).color_count == k)
+    tex_tropical = bc.is_tropical(g, bc.solve_tex(g))
+    for solve, objective in ((bc.solve_tex, Objective.MAX_COLORS),
+                             (bc.solve_tmaxex, Objective.MAX_COLORS_AMONG_MAX_VERTICES)):
+        oracle = metrics_of(g, bc.brute_force_best(g, objective))
+        assert bc.is_tropical(g, solve(g)) == (oracle.color_count == k)
     # a color-primary optimum answers the tropicality question by inspection
     maxtex_tropical = metrics_of(g, bc.solve_maxtex(g)).color_count == k
-    assert maxtex_tropical == bc.decide_tex(g)
+    assert maxtex_tropical == tex_tropical

@@ -39,7 +39,7 @@ def test_plain_gadget_single_clause():
     art = bc.build_sat_graph(SINGLE)
     assert art.graph.vertex_count == 2
     assert art.graph.color_count == 2
-    assert bc.decide_tex(art.graph) is True
+    assert bc.is_tropical(art.graph, bc.solve_tex(art.graph)) is True
 
 
 def test_plain_gadget_vertex_count_formula():
@@ -253,7 +253,7 @@ def test_l_reduction_errors_match_on_full_selections():
 @given(cnf=cnfs(max_vars=3, max_clauses=4))
 def test_reduction_soundness_small(cnf):
     art = bc.build_sat_graph(cnf)
-    assert bc.decide_tex(art.graph) == bc.is_satisfiable(cnf)
+    assert bc.is_tropical(art.graph, bc.solve_tex(art.graph)) == bc.is_satisfiable(cnf)
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,7 +262,7 @@ def test_balanced_soundness_small(cnf):
     art = bc.add_balance_vertices(bc.build_sat_graph(cnf))
     lengths = {len(c) for c in art.true_loops + art.false_loops}
     assert len(lengths) == 1
-    assert bc.decide_tmaxex(art.graph) == bc.is_satisfiable(cnf)
+    assert bc.is_tropical(art.graph, bc.solve_tmaxex(art.graph)) == bc.is_satisfiable(cnf)
 
 
 @settings(max_examples=40, deadline=None)
