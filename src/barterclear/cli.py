@@ -153,9 +153,16 @@ def cmd_pullback(args: argparse.Namespace) -> int:
     if len(set(names)) < len(names):
         shared = next(v for v, count in Counter(names).items() if count > 1)
         raise InvalidSolution(f"vertex {shared} is in two cycles")
-    # the map has no graph, so a loop is named by its set of vertex names
+    # the map has no graph, so a cycle is named by its set of vertex names
     loops = [(frozenset(gm.true_loops[i]), frozenset(gm.false_loops[i]))
              for i in range(1, gm.num_vars + 1)]
+    known = {loop for pair in loops for loop in pair}
+    if gm.balance_cycle:
+        known.add(frozenset(gm.balance_cycle))
+    stray = next((c for c in cycles if frozenset(c) not in known), None)
+    if stray is not None:
+        raise InvalidSolution(f"C {' '.join(stray)} is neither a loop nor the balance cycle "
+                              "of the gadget map")
     assignment = assignment_from_loops(loops, {frozenset(c) for c in cycles})
     for i in range(1, gm.num_vars + 1):
         print(f"x{i} {'T' if assignment[i] else 'F'}")

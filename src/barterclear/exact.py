@@ -25,14 +25,13 @@ from time import monotonic
 
 from scipy.sparse.csgraph import connected_components
 
-from .assignment import assignment_costs, solve_max_size
+from .assignment import assignment_costs, max_size_successors, solve_max_size
 from .graph import (
     ColoredDigraph,
     CycleSet,
     cycle_from_vertices,
     cycle_set_from_successors,
     successor_cycles,
-    validate_cycle_set,
 )
 
 MAX_BRUTE_FORCE_VERTICES = 12
@@ -188,7 +187,7 @@ def solve_with_stats(
     if objective is Objective.MAX_COLORS:
         v_cap = g.vertex_count
     else:
-        v_cap = validate_cycle_set(g, solve_max_size(g)).vertex_count
+        v_cap = sum(v >= 0 for v in max_size_successors(g))  # the vertices that trade
     search = _CycleSearch(g, budget or DEFAULT_BUDGET, _KEYS[objective], v_cap)
     search.visit(0, 0, 0, 0)
     result = CycleSet(tuple(cycle_from_vertices(g, c) for c in search.best))

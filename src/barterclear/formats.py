@@ -354,6 +354,7 @@ class GadgetMap:
     clause_color_labels: dict[int, str]
     balance_color_labels: tuple[str, ...]
     clauses: tuple[tuple[int, ...], ...] = field(default=())
+    balance_cycle: tuple[str, ...] = ()
 
     def cnf(self) -> CnfInstance:
         return CnfInstance(self.num_vars, self.clauses)
@@ -364,8 +365,9 @@ def serialize_gadget_map(gm: GadgetMap) -> str:
 
     ``VAR i TRUE|FALSE <vertices>`` lists each loop in cycle order;
     ``CLAUSECOLOR j <label>`` and ``BALANCECOLOR <labels>`` name the special
-    colors; ``CLAUSE j <literals>`` repeats the source clauses so the
-    pullback can count satisfied clauses.
+    colors; ``BALANCECYCLE <vertices>`` lists the ``2pc`` twin cycle, the one
+    cycle of a gadget that is no loop; ``CLAUSE j <literals>`` repeats the
+    source clauses so the pullback can count satisfied clauses.
     """
     lines = []
     for i in range(1, gm.num_vars + 1):
@@ -375,6 +377,8 @@ def serialize_gadget_map(gm: GadgetMap) -> str:
         lines.append(f"CLAUSECOLOR {j} {label}")
     if gm.balance_color_labels:
         lines.append("BALANCECOLOR " + " ".join(gm.balance_color_labels))
+    if gm.balance_cycle:
+        lines.append("BALANCECYCLE " + " ".join(gm.balance_cycle))
     for j, clause in enumerate(gm.clauses, start=1):
         lines.append(f"CLAUSE {j} " + " ".join(str(lit) for lit in clause))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -385,6 +389,7 @@ def parse_gadget_map(text: str) -> GadgetMap:
     false_loops: dict[int, tuple[str, ...]] = {}
     clause_color_labels: dict[int, str] = {}
     balance_color_labels: tuple[str, ...] = ()
+    balance_cycle: tuple[str, ...] = ()
     clauses: dict[int, tuple[int, ...]] = {}
 
     for lineno, tokens in _records(text):
@@ -403,6 +408,10 @@ def parse_gadget_map(text: str) -> GadgetMap:
             clause_color_labels[_parse_int(tokens[1], lineno)] = tokens[2]
         elif kind == "BALANCECOLOR":
             balance_color_labels = tuple(tokens[1:])
+        elif kind == "BALANCECYCLE":
+            if len(tokens) < 2:
+                raise ParseError("expected 'BALANCECYCLE <vertices>'", lineno)
+            balance_cycle = tuple(tokens[1:])
         elif kind == "CLAUSE":
             if len(tokens) < 3:
                 raise ParseError("expected 'CLAUSE <j> <literals>'", lineno)
@@ -425,6 +434,7 @@ def parse_gadget_map(text: str) -> GadgetMap:
         clause_color_labels=clause_color_labels,
         balance_color_labels=balance_color_labels,
         clauses=ordered_clauses,
+        balance_cycle=balance_cycle,
     )
 
 

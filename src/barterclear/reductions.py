@@ -24,7 +24,7 @@ Three gadget flavors are built here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Hashable, Sequence
+from typing import ClassVar, Collection, Hashable, Sequence
 
 from .exact import SearchBudget, solve_tex
 from .graph import (
@@ -54,10 +54,9 @@ class InvalidSolution(ValueError):
 class ReductionArtifact:
     """A gadget graph plus the bookkeeping needed to pull solutions back.
 
-    Loops are stored as cycles of the *current* graph (balance-augmented
-    after padding).  ``variable_vertex[i-1]``, ``true_loops[i-1]``,
-    ``false_loops[i-1]`` and ``variable_colors[i-1]`` describe variable i;
-    ``clause_colors[j]`` is the color of clause j (0-based).
+    ``variable_vertex[i-1]``, ``true_loops[i-1]`` and ``false_loops[i-1]``
+    describe variable i; ``clause_colors[j]`` is the color of clause j
+    (0-based).
     """
 
     graph: ColoredDigraph
@@ -65,7 +64,6 @@ class ReductionArtifact:
     variable_vertex: tuple[int, ...]
     true_loops: tuple[Cycle, ...]
     false_loops: tuple[Cycle, ...]
-    variable_colors: tuple[int, ...]
     clause_colors: tuple[int, ...]
     balance_vertices: tuple[int, ...] = ()
     balance_colors: frozenset[int] = frozenset()
@@ -76,18 +74,6 @@ class ReductionArtifact:
         return len(self.balance_vertices)
 
 
-def _empty_artifact(cnf: CnfInstance) -> ReductionArtifact:
-    return ReductionArtifact(
-        graph=build_graph([], []),
-        cnf=cnf,
-        variable_vertex=(),
-        true_loops=(),
-        false_loops=(),
-        variable_colors=(),
-        clause_colors=(),
-    )
-
-
 def _add_loop(edges: list[tuple[int, int]], start: int, chain: list[int]) -> Cycle:
     """Append the edges of start -> chain... -> start and return them as a cycle."""
     path = [start] + chain
@@ -96,42 +82,71 @@ def _add_loop(edges: list[tuple[int, int]], start: int, chain: list[int]) -> Cyc
     return Cycle(tuple(range(first, len(edges))))
 
 
-def _build_gadget(cnf: CnfInstance, unique_var_colors: bool) -> ReductionArtifact:
+def _build_gadget(cnf: CnfInstance, variant: str) -> ReductionArtifact:
+    """Lay out the ``plain``, ``balanced`` or ``2pc`` gadget of ``cnf`` and
+    build its graph.
+
+    Vertex ids run over the variables, the literals in clause order, the
+    balance vertices in loop order and the ``2pc`` twins; edge ids run over
+    the loops (x1 TRUE, x1 FALSE, x2 TRUE, ...) and then the twin cycle.
+    """
     n = cnf.num_vars
-    q = cnf.num_clauses
     if n == 0:
-        return _empty_artifact(cnf)
-
-    if unique_var_colors:
-        var_colors = list(range(n))
+        return ReductionArtifact(build_graph([], []), cnf, (), (), (), ())
+    two_per_color = variant == "2pc"
+    if two_per_color:
+        vertex_colors = list(range(n))
         labels = [f"x{i}" for i in range(1, n + 1)]
-        first_clause_color = n
     else:
-        var_colors = [0] * n
+        vertex_colors = [0] * n
         labels = ["var"]
-        first_clause_color = 1
-    labels += [f"clause{j}" for j in range(1, q + 1)]
-    clause_colors = tuple(first_clause_color + j for j in range(q))
+    clause_colors = tuple(range(len(labels), len(labels) + cnf.num_clauses))
+    labels += [f"clause{j}" for j in range(1, cnf.num_clauses + 1)]
 
-    vertex_colors = list(var_colors)
     # chains[2*i] and chains[2*i + 1] follow variable vertex i on its TRUE
-    # and its FALSE loop; the loops take edge ids in that order
+    # and its FALSE loop
     chains: list[list[int]] = [[] for _ in range(2 * n)]
     for j, clause in enumerate(cnf.clauses):
         for lit in clause:
             chains[2 * (abs(lit) - 1) + (lit < 0)].append(len(vertex_colors))
             vertex_colors.append(clause_colors[j])
 
+    balance: list[int] = []
+    if variant != "plain":
+        # every loop grows to (longest loop + 1) vertices, padded right
+        # before its edge back to the variable vertex; a balance vertex takes
+        # the newest label's color, the shared "balance" or its own
+        if not two_per_color:
+            labels.append("balance")
+        padded = max(map(len, chains)) + 1
+        for chain in chains:
+            for _ in range(padded - len(chain)):
+                if two_per_color:
+                    labels.append(f"balance{len(balance) + 1}")
+                balance.append(len(vertex_colors))
+                chain.append(len(vertex_colors))
+                vertex_colors.append(len(labels) - 1)
+    balance_colors = [vertex_colors[v] for v in balance]
+
     edges: list[tuple[int, int]] = []
     loops = [_add_loop(edges, k // 2, chain) for k, chain in enumerate(chains)]
+    balance_cycle = None
+    if two_per_color:
+        # one twin vertex per balance color, forming one extra cycle
+        twins = list(range(len(vertex_colors), len(vertex_colors) + len(balance)))
+        vertex_colors += balance_colors
+        balance_cycle = _add_loop(edges, twins[0], twins[1:])
+
     return ReductionArtifact(
         graph=build_graph(vertex_colors, edges, labels),
         cnf=cnf,
         variable_vertex=tuple(range(n)),
         true_loops=tuple(loops[0::2]),
         false_loops=tuple(loops[1::2]),
-        variable_colors=tuple(var_colors),
         clause_colors=clause_colors,
+        balance_vertices=tuple(balance),
+        balance_colors=frozenset(balance_colors),
+        balance_cycle=balance_cycle,
     )
 
 
@@ -142,88 +157,21 @@ def build_sat_graph(cnf: CnfInstance) -> ReductionArtifact:
     = num_clauses + 1.  A cycle set covering every color exists iff the
     formula is satisfiable.
     """
-    return _build_gadget(cnf, unique_var_colors=False)
-
-
-def _pad(
-    art: ReductionArtifact,
-    unique_balance_colors: bool,
-    with_balance_cycle: bool,
-) -> ReductionArtifact:
-    """Rebuild the gadget with every loop padded to the same length.
-
-    All loops grow to (longest original length + 1) by appending balance
-    vertices immediately before the edge returning to the variable vertex.
-    """
-    if art.balance_vertices or art.balance_cycle is not None:
-        raise ValueError("artifact is already balance-padded")
-    n = art.cnf.num_vars
-    if n == 0:
-        return art
-    g = art.graph
-    target = max(len(c) for c in art.true_loops + art.false_loops) + 1
-
-    vertex_colors = list(g.vertex_colors)
-    labels = list(g.color_labels or ())
-    balance_vertices: list[int] = []
-    balance_colors: list[int] = []
-    shared_color = g.color_count  # only used when balance colors are shared
-    if not unique_balance_colors:
-        labels.append("balance")
-
-    chains: list[list[int]] = []  # laid out as in _build_gadget
-    for i in range(n):
-        for loop in (art.true_loops[i], art.false_loops[i]):
-            chain = list(cycle_vertices(g, loop)[1:])  # loop starts at the variable vertex
-            for _ in range(target - len(loop)):
-                vid = len(vertex_colors)
-                if unique_balance_colors:
-                    color = g.color_count + len(balance_vertices)
-                    labels.append(f"balance{len(balance_vertices) + 1}")
-                else:
-                    color = shared_color
-                vertex_colors.append(color)
-                balance_vertices.append(vid)
-                balance_colors.append(color)
-                chain.append(vid)
-            chains.append(chain)
-
-    balance_cycle_vertices: list[int] = []
-    if with_balance_cycle:
-        # one twin vertex per balance color, forming one extra cycle
-        for color in balance_colors:
-            balance_cycle_vertices.append(len(vertex_colors))
-            vertex_colors.append(color)
-
-    edges: list[tuple[int, int]] = []
-    loops = [_add_loop(edges, k // 2, chain) for k, chain in enumerate(chains)]
-    balance_cycle = None
-    if with_balance_cycle and balance_cycle_vertices:
-        balance_cycle = _add_loop(edges, balance_cycle_vertices[0], balance_cycle_vertices[1:])
-
-    return ReductionArtifact(
-        graph=build_graph(vertex_colors, edges, labels),
-        cnf=art.cnf,
-        variable_vertex=art.variable_vertex,
-        true_loops=tuple(loops[0::2]),
-        false_loops=tuple(loops[1::2]),
-        variable_colors=art.variable_colors,
-        clause_colors=art.clause_colors,
-        balance_vertices=tuple(balance_vertices),
-        balance_colors=frozenset(balance_colors),
-        balance_cycle=balance_cycle,
-    )
+    return _build_gadget(cnf, "plain")
 
 
 def add_balance_vertices(art: ReductionArtifact) -> ReductionArtifact:
-    """Pad all loops to equal length with vertices of one fresh balance color.
+    """The balanced gadget of ``art``'s formula: all loops padded to equal
+    length with vertices of one fresh balance color.
 
     Afterwards every combination of one loop per variable covers the same
     number of vertices, so vertex-maximality no longer discriminates between
     truth assignments, and the balance color is covered by every nonempty
     choice of loops.
     """
-    return _pad(art, unique_balance_colors=False, with_balance_cycle=False)
+    if art.balance_vertices or art.balance_cycle is not None:
+        raise ValueError("artifact is already balance-padded")
+    return _build_gadget(art.cnf, "balanced")
 
 
 def build_2pc_graph(cnf: CnfInstance) -> ReductionArtifact:
@@ -237,8 +185,7 @@ def build_2pc_graph(cnf: CnfInstance) -> ReductionArtifact:
     for j, clause in enumerate(cnf.clauses):
         if len(clause) > 2:
             raise ClauseTooLarge(f"clause {j + 1} has {len(clause)} literals (max 2)")
-    plain = _build_gadget(cnf, unique_var_colors=True)
-    return _pad(plain, unique_balance_colors=True, with_balance_cycle=True)
+    return _build_gadget(cnf, "2pc")
 
 
 def gadget_map(art: ReductionArtifact) -> GadgetMap:
@@ -246,7 +193,11 @@ def gadget_map(art: ReductionArtifact) -> GadgetMap:
     ``serialize_graph`` does by default."""
     g = art.graph
     n = art.cnf.num_vars
-    loops = [tuple(str(v) for v in cycle_vertices(g, c)) for c in art.true_loops + art.false_loops]
+
+    def named(cycle: Cycle) -> tuple[str, ...]:
+        return tuple(map(str, cycle_vertices(g, cycle)))
+
+    loops = [named(c) for c in art.true_loops + art.false_loops]
     return GadgetMap(
         num_vars=n,
         true_loops=dict(enumerate(loops[:n], start=1)),
@@ -254,6 +205,7 @@ def gadget_map(art: ReductionArtifact) -> GadgetMap:
         clause_color_labels=dict(enumerate(map(g.color_label, art.clause_colors), start=1)),
         balance_color_labels=tuple(map(g.color_label, sorted(art.balance_colors))),
         clauses=art.cnf.clauses,
+        balance_cycle=named(art.balance_cycle) if art.balance_cycle is not None else (),
     )
 
 
@@ -330,8 +282,8 @@ class LReductionCheck:
     opt_colors: int
     measure_colors: int
     measure_sat: int
-    alpha: int = 3
-    beta: int = 1
+    alpha: ClassVar[int] = 3
+    beta: ClassVar[int] = 1
 
     @property
     def error_sat(self) -> int:
@@ -352,8 +304,6 @@ def l_reduction_check(
     art: ReductionArtifact,
     s: CycleSet,
     budget: SearchBudget | None = None,
-    alpha: int = 3,
-    beta: int = 1,
 ) -> LReductionCheck:
     """Measure a candidate solution on both sides of the reduction."""
     opt_sat, _ = max_satisfiable(art.cnf)
@@ -365,6 +315,4 @@ def l_reduction_check(
         opt_colors=opt_colors,
         measure_colors=measure_colors,
         measure_sat=measure_sat,
-        alpha=alpha,
-        beta=beta,
     )

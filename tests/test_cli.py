@@ -171,6 +171,41 @@ def test_pullback_rejects_cycles_sharing_a_vertex(tmp_path, capsys):
         assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_pullback_rejects_cycles_outside_the_gadget(tmp_path, capsys):
+    cnf = tmp_path / "a.cnf"
+    cnf.write_text(DIMACS_A)
+    graph, gmap = tmp_path / "a.graph", tmp_path / "a.map"
+    assert main(["reduce", "--cnf", str(cnf), "--variant", "plain",
+                 "--output", str(graph), "--map", str(gmap)]) == 0
+    capsys.readouterr()
+    stray = tmp_path / "stray.sol"
+    stray.write_text("C 1 4\nC 99 98\nC 0 2 9\n")  # a loop, unknown names, a loop plus a name
+    assert main(["pullback", "--map", str(gmap), "--solution", str(stray)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: C 99 98 is neither a loop nor the balance cycle")
+    assert len(captured.err.strip().splitlines()) == 1
+    stray.write_text("C 0 2 9\n")
+    assert main(["pullback", "--map", str(gmap), "--solution", str(stray)]) == 2
+    assert capsys.readouterr().err.startswith("error: C 0 2 9 is neither")
+
+
+def test_2pc_pullback_accepts_the_balance_cycle(tmp_path, capsys):
+    cnf = tmp_path / "c.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n")
+    graph, gmap, solution = tmp_path / "c.graph", tmp_path / "c.map", tmp_path / "c.sol"
+    assert main(["reduce", "--cnf", str(cnf), "--variant", "2pc",
+                 "--output", str(graph), "--map", str(gmap)]) == 0
+    capsys.readouterr()
+    assert main(["clear", "--input", str(graph), "--objective", "tex",
+                 "--output", str(solution)]) == 0
+    capsys.readouterr()
+    balance_cycle = frozenset(bc.parse_gadget_map(gmap.read_text()).balance_cycle)
+    assert balance_cycle in map(frozenset, bc.parse_cycles(solution.read_text()))
+    assert main(["pullback", "--map", str(gmap), "--solution", str(solution)]) == 0
+    assert "satisfied 2 of 2" in capsys.readouterr().out
+
+
 def test_decide_matches_clear_for_every_objective(conflict_file, tmp_path, capsys):
     cnf = tmp_path / "a.cnf"
     cnf.write_text(DIMACS_A)

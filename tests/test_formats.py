@@ -232,6 +232,16 @@ def test_gadget_map_serialize_parse_round_trip():
         assert gm.cnf() == art.cnf
 
 
+def test_gadget_map_balance_cycle_record():
+    art = bc.build_2pc_graph(CNF_C)
+    gm = bc.gadget_map(art)
+    assert gm.balance_cycle == tuple(str(v) for v in bc.cycle_vertices(art.graph, art.balance_cycle))
+    assert "BALANCECYCLE " + " ".join(gm.balance_cycle) in bc.serialize_gadget_map(gm)
+    assert bc.gadget_map(bc.build_sat_graph(CNF_C)).balance_cycle == ()
+    with pytest.raises(bc.ParseError, match="BALANCECYCLE"):
+        bc.parse_gadget_map("VAR 1 TRUE 0\nVAR 1 FALSE 0\nBALANCECYCLE\n")
+
+
 def test_gadget_map_rejects_incomplete_variables():
     with pytest.raises(bc.ParseError, match="incomplete VAR"):
         bc.parse_gadget_map("VAR 2 TRUE 1\nVAR 2 FALSE 1\n")

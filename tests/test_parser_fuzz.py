@@ -17,7 +17,8 @@ HEADS = [
     ["alice a : b", "bob b : a d", "bob d :", "alice"],
     ["p cnf 2 2", "p cnf 3 1", "1 -2 0", "2 0", "-3 0", "c", "%", "p cnf"],
     ["VAR 1 TRUE 0 2", "VAR 1 FALSE 0", "VAR 2 TRUE 1", "VAR 2 FALSE 1 3", "CLAUSECOLOR 1",
-     "BALANCECOLOR", "CLAUSE 1 1 -2", "CLAUSE 2 2", "VAR 1"],
+     "BALANCECOLOR", "BALANCECYCLE 3 4", "BALANCECYCLE", "CLAUSE 1 1 -2", "CLAUSE 2 2",
+     "VAR 1"],
     ["objective tex", "method exact", "vertices 2", "colors 1", "total-colors 2",
      "traded-agents 1", "nodes 5", "seconds 0.5", "guarantee 1/2", "C a b", "seconds"],
 ]
