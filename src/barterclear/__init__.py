@@ -62,7 +62,6 @@ from .graph import (
     cycle_from_vertices,
     cycle_set_from_successors,
     cycle_vertices,
-    graph_colors,
     is_tropical,
     successor_cycles,
     validate_cycle_set,

@@ -64,16 +64,12 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
 
 def _load_graph(args: argparse.Namespace):
     text = Path(args.input).read_text()
-    if getattr(args, "wantlist", False):
-        return parse_wantlist(text)
-    return parse_graph(text)
+    return parse_wantlist(text) if args.wantlist else parse_graph(text)
 
 
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", required=True, help="market file")
-    fmt = sub.add_mutually_exclusive_group()
-    fmt.add_argument("--wantlist", action="store_true", help="input is a want-list")
-    fmt.add_argument("--graph", action="store_true", help="input is a graph file (default)")
+    sub.add_argument("--input", required=True, help="market file (a graph file by default)")
+    sub.add_argument("--wantlist", action="store_true", help="input is a want-list")
 
 
 def _add_budget_options(sub: argparse.ArgumentParser) -> None:
@@ -82,7 +78,7 @@ def _add_budget_options(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_clear(args: argparse.Namespace) -> int:
-    g, names = _load_graph(args)
+    g = _load_graph(args)
     if args.no_self_trades:
         g = without_self_loops(g)
     if args.method == "approx":
@@ -95,7 +91,7 @@ def cmd_clear(args: argparse.Namespace) -> int:
         guarantee_text = ""
     # a run never emits a solution it cannot verify
     metrics = validate_cycle_set(g, solution)
-    Path(args.output).write_text(serialize_solution(g, solution, names))
+    Path(args.output).write_text(serialize_solution(g, solution))
     report = RunReport(
         objective=args.objective,
         method=args.method,
@@ -105,7 +101,7 @@ def cmd_clear(args: argparse.Namespace) -> int:
         nodes=nodes,
         seconds=seconds,
         guarantee=guarantee_text,
-        cycles=solution_cycles(g, solution, names),
+        cycles=solution_cycles(g, solution),
     )
     sys.stdout.write(serialize_report(report))
     if args.min_vertices is not None and metrics.vertex_count < args.min_vertices:
@@ -114,7 +110,7 @@ def cmd_clear(args: argparse.Namespace) -> int:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     threshold = args.objective.endswith("-x")
     if threshold and args.x is None:
         raise ValueError(f"--x is required for {args.objective}")
@@ -146,6 +142,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _rotated(cycle: tuple[str, ...]) -> tuple[str, ...]:
+    pivot = cycle.index(min(cycle))
+    return cycle[pivot:] + cycle[:pivot]
+
+
 def cmd_pullback(args: argparse.Namespace) -> int:
     gm = parse_gadget_map(Path(args.map).read_text())
     cycles = parse_cycles(Path(args.solution).read_text())
@@ -153,17 +154,18 @@ def cmd_pullback(args: argparse.Namespace) -> int:
     if len(set(names)) < len(names):
         shared = next(v for v, count in Counter(names).items() if count > 1)
         raise InvalidSolution(f"vertex {shared} is in two cycles")
-    # the map has no graph, so a cycle is named by its set of vertex names
-    loops = [(frozenset(gm.true_loops[i]), frozenset(gm.false_loops[i]))
+    # the map has no graph, so a cycle is named by its vertex names in cycle
+    # order, rotated to start at the smallest name
+    loops = [(_rotated(gm.true_loops[i]), _rotated(gm.false_loops[i]))
              for i in range(1, gm.num_vars + 1)]
     known = {loop for pair in loops for loop in pair}
     if gm.balance_cycle:
-        known.add(frozenset(gm.balance_cycle))
-    stray = next((c for c in cycles if frozenset(c) not in known), None)
+        known.add(_rotated(gm.balance_cycle))
+    stray = next((c for c in cycles if _rotated(c) not in known), None)
     if stray is not None:
         raise InvalidSolution(f"C {' '.join(stray)} is neither a loop nor the balance cycle "
                               "of the gadget map")
-    assignment = assignment_from_loops(loops, {frozenset(c) for c in cycles})
+    assignment = assignment_from_loops(loops, set(map(_rotated, cycles)))
     for i in range(1, gm.num_vars + 1):
         print(f"x{i} {'T' if assignment[i] else 'F'}")
     cnf = gm.cnf()
@@ -175,12 +177,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.graph_file is not None:
         if args.objective is None:
             raise ValueError("--objective is required with --graph")
-        g, names = parse_graph(Path(args.graph_file).read_text())
+        g = parse_graph(Path(args.graph_file).read_text())
         best = brute_force_best(g, Objective(args.objective))
         metrics = validate_cycle_set(g, best)
         print(f"vertices {metrics.vertex_count}")
         print(f"colors {metrics.color_count} of {g.color_count}")
-        sys.stdout.write(serialize_solution(g, best, names))
+        sys.stdout.write(serialize_solution(g, best))
         return EXIT_OK
     if not args.sat and not args.maxsat:
         raise ValueError("--sat or --maxsat is required with --cnf")
@@ -203,9 +205,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g, names = parse_graph(Path(args.graph_file).read_text())
-    s = parse_solution(Path(args.solution).read_text(), g, names)
-    metrics = validate_cycle_set(g, s, names)
+    g = parse_graph(Path(args.graph_file).read_text())
+    metrics = validate_cycle_set(g, parse_solution(Path(args.solution).read_text(), g))
     print(f"vertices {metrics.vertex_count}")
     print(f"colors {metrics.color_count} of {g.color_count}")
     print(f"tropical {'yes' if metrics.color_count == g.color_count else 'no'}")

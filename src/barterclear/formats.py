@@ -67,31 +67,28 @@ def _check_token(token: str, what: str) -> str:
 # graph files
 
 
-def serialize_graph(g: ColoredDigraph, names: tuple[str, ...] | None = None) -> str:
-    """Graph text form; vertex names default to stringified indices."""
-    if names is None:
-        names = tuple(str(v) for v in range(g.vertex_count))
+def serialize_graph(g: ColoredDigraph) -> str:
+    """Graph text form, naming vertices and colors as the graph does."""
+    names = g.vertex_names
     lines = []
     for v in range(g.vertex_count):
         name = _check_token(names[v], "vertex name")
-        label = _check_token(g.color_label(g.vertex_colors[v]), "color label")
+        label = _check_token(g.color_labels[g.vertex_colors[v]], "color label")
         lines.append(f"V {name} {label}")
     for u, v in g.edges:
         lines.append(f"E {names[u]} {names[v]}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_graph(text: str) -> tuple[ColoredDigraph, tuple[str, ...]]:
+def parse_graph(text: str) -> ColoredDigraph:
     """Parse the graph text form.
 
     Vertex ids are assigned densely in declaration order and color ids in
     order of first label appearance, so serializing the result reproduces
-    the input.  Returns the graph and the vertex names.
+    the input.
     """
-    names: list[str] = []
     index: dict[str, int] = {}
     colors: list[int] = []
-    labels: list[str] = []
     label_id: dict[str, int] = {}
     raw_edges: list[tuple[int, str, str]] = []
 
@@ -103,12 +100,8 @@ def parse_graph(text: str) -> tuple[ColoredDigraph, tuple[str, ...]]:
             name, label = tokens[1], tokens[2]
             if name in index:
                 raise ParseError(f"duplicate vertex {name!r}", lineno)
-            index[name] = len(names)
-            names.append(name)
-            if label not in label_id:
-                label_id[label] = len(labels)
-                labels.append(label)
-            colors.append(label_id[label])
+            index[name] = len(index)
+            colors.append(label_id.setdefault(label, len(label_id)))
         elif kind == "E":
             if len(tokens) != 3:
                 raise ParseError("E record needs <from-id> <to-id>", lineno)
@@ -124,29 +117,24 @@ def parse_graph(text: str) -> tuple[ColoredDigraph, tuple[str, ...]]:
             raise ParseError(f"edge endpoint {b!r} is not a declared vertex", lineno)
         edges.append((index[a], index[b]))
 
-    return build_graph(colors, edges, labels if labels else None), tuple(names)
+    return build_graph(colors, edges, list(label_id), list(index))
 
 
 # ---------------------------------------------------------------------------
 # solution files
 
 
-def solution_cycles(
-    g: ColoredDigraph, s: CycleSet, names: tuple[str, ...] | None = None
-) -> tuple[tuple[str, ...], ...]:
+def solution_cycles(g: ColoredDigraph, s: CycleSet) -> tuple[tuple[str, ...], ...]:
     """The canonical cycles of ``s`` (rotated and sorted) as vertex-name tuples."""
-    if names is None:
-        names = tuple(str(v) for v in range(g.vertex_count))
     return tuple(
-        tuple(names[v] for v in cycle_vertices(g, c)) for c in canonical_cycle_set(g, s).cycles
+        tuple(g.vertex_names[v] for v in cycle_vertices(g, c))
+        for c in canonical_cycle_set(g, s).cycles
     )
 
 
-def serialize_solution(
-    g: ColoredDigraph, s: CycleSet, names: tuple[str, ...] | None = None
-) -> str:
+def serialize_solution(g: ColoredDigraph, s: CycleSet) -> str:
     """Canonical solution text form; ``parse_cycles`` reads its cycles back."""
-    return "".join("C " + " ".join(cycle) + "\n" for cycle in solution_cycles(g, s, names))
+    return "".join("C " + " ".join(cycle) + "\n" for cycle in solution_cycles(g, s))
 
 
 def _cycle_records(text: str):
@@ -165,17 +153,13 @@ def parse_cycles(text: str) -> tuple[tuple[str, ...], ...]:
     return tuple(cycle for _, cycle in _cycle_records(text))
 
 
-def parse_solution(
-    text: str, g: ColoredDigraph, names: tuple[str, ...] | None = None
-) -> CycleSet:
-    """Parse ``C v1 v2 ... vk`` records against a graph.
+def parse_solution(text: str, g: ColoredDigraph) -> CycleSet:
+    """Parse ``C v1 v2 ... vk`` records against a graph and its vertex names.
 
     Unknown vertex names and missing edges are parse errors; validity of the
     resulting set (disjointness etc.) is the caller's concern.
     """
-    if names is None:
-        names = tuple(str(v) for v in range(g.vertex_count))
-    index = {name: v for v, name in enumerate(names)}
+    index = {name: v for v, name in enumerate(g.vertex_names)}
     cycles = []
     for lineno, cycle in _cycle_records(text):
         vertices = []
@@ -196,13 +180,13 @@ def parse_solution(
 # want-lists
 
 
-def parse_wantlist(text: str) -> tuple[ColoredDigraph, tuple[str, ...]]:
+def parse_wantlist(text: str) -> ColoredDigraph:
     """Parse ``<agent> <item> : <item>*`` lines into a colored digraph.
 
-    One vertex per item, colored by its agent (color labels are the agent
-    names); one edge item -> w per entry of its wants list, duplicates kept
-    as parallel edges.  Wanted items may be declared on any line of the
-    file.  Returns the graph and the item names.
+    One vertex per item, named by the item and colored by its agent (color
+    labels are the agent names); one edge item -> w per entry of its wants
+    list, duplicates kept as parallel edges.  Wanted items may be declared
+    on any line of the file.
     """
     entries: list[tuple[int, str, str, list[str]]] = []
     index: dict[str, int] = {}
@@ -216,15 +200,7 @@ def parse_wantlist(text: str) -> tuple[ColoredDigraph, tuple[str, ...]]:
         entries.append((lineno, agent, item, wants))
 
     agent_ids: dict[str, int] = {}
-    agents: list[str] = []
-    colors = []
-    names = []
-    for _, agent, item, _ in entries:
-        if agent not in agent_ids:
-            agent_ids[agent] = len(agents)
-            agents.append(agent)
-        colors.append(agent_ids[agent])
-        names.append(item)
+    colors = [agent_ids.setdefault(agent, len(agent_ids)) for _, agent, _, _ in entries]
 
     edges = []
     for lineno, _, item, wants in entries:
@@ -233,17 +209,19 @@ def parse_wantlist(text: str) -> tuple[ColoredDigraph, tuple[str, ...]]:
                 raise UnknownWantedItem(f"{item!r} wants undeclared item {want!r}", lineno)
             edges.append((index[item], index[want]))
 
-    return build_graph(colors, edges, agents if agents else None), tuple(names)
+    return build_graph(colors, edges, list(agent_ids), list(index))
 
 
-def serialize_wantlist(g: ColoredDigraph, names: tuple[str, ...]) -> str:
-    """Want-list text form; agents are the graph's color labels."""
+def serialize_wantlist(g: ColoredDigraph) -> str:
+    """Want-list text form; items are the graph's vertex names and agents
+    its color labels."""
+    names = g.vertex_names
     wants: list[list[str]] = [[] for _ in range(g.vertex_count)]
     for u, v in g.edges:
         wants[u].append(names[v])
     lines = []
     for v in range(g.vertex_count):
-        agent = _check_token(g.color_label(g.vertex_colors[v]), "agent name")
+        agent = _check_token(g.color_labels[g.vertex_colors[v]], "agent name")
         item = _check_token(names[v], "item name")
         lines.append(f"{agent} {item} : " + " ".join(wants[v]) if wants[v] else f"{agent} {item} :")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -335,8 +313,7 @@ def gen_random(
         for v in range(num_vertices)
         if u != v and rng.random() < edge_prob
     ]
-    labels = [f"c{c}" for c in range(num_colors)]
-    return build_graph(colors, edges, labels if labels else None)
+    return build_graph(colors, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +362,19 @@ def serialize_gadget_map(gm: GadgetMap) -> str:
 
 
 def parse_gadget_map(text: str) -> GadgetMap:
+    """Parse the sidecar map text form; a repeated record is a parse error."""
     true_loops: dict[int, tuple[str, ...]] = {}
     false_loops: dict[int, tuple[str, ...]] = {}
     clause_color_labels: dict[int, str] = {}
     balance_color_labels: tuple[str, ...] = ()
     balance_cycle: tuple[str, ...] = ()
     clauses: dict[int, tuple[int, ...]] = {}
+    seen: set[str] = set()
+
+    def once(record: str, lineno: int) -> None:
+        if record in seen:
+            raise ParseError(f"repeated {record} record", lineno)
+        seen.add(record)
 
     for lineno, tokens in _records(text):
         kind = tokens[0]
@@ -405,19 +389,23 @@ def parse_gadget_map(text: str) -> GadgetMap:
         elif kind == "CLAUSECOLOR":
             if len(tokens) != 3:
                 raise ParseError("expected 'CLAUSECOLOR <j> <label>'", lineno)
-            clause_color_labels[_parse_int(tokens[1], lineno)] = tokens[2]
+            j = _parse_int(tokens[1], lineno)
+            once(f"CLAUSECOLOR {j}", lineno)
+            clause_color_labels[j] = tokens[2]
         elif kind == "BALANCECOLOR":
+            once(kind, lineno)
             balance_color_labels = tuple(tokens[1:])
         elif kind == "BALANCECYCLE":
             if len(tokens) < 2:
                 raise ParseError("expected 'BALANCECYCLE <vertices>'", lineno)
+            once(kind, lineno)
             balance_cycle = tuple(tokens[1:])
         elif kind == "CLAUSE":
             if len(tokens) < 3:
                 raise ParseError("expected 'CLAUSE <j> <literals>'", lineno)
-            clauses[_parse_int(tokens[1], lineno)] = tuple(
-                _parse_int(t, lineno) for t in tokens[2:]
-            )
+            j = _parse_int(tokens[1], lineno)
+            once(f"CLAUSE {j}", lineno)
+            clauses[j] = tuple(_parse_int(t, lineno) for t in tokens[2:])
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)
 

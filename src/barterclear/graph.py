@@ -13,7 +13,7 @@ All objects here are immutable values; operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
@@ -85,14 +85,17 @@ class ColoredDigraph:
     Vertices and edges are dense integer ids.  ``vertex_colors[v]`` is the
     color of vertex ``v``; ``edges[e]`` is the ``(tail, head)`` pair of edge
     ``e``.  Color ids are dense ``0..color_count-1`` and every color is
-    carried by at least one vertex.  ``color_labels``, when present, gives a
-    unique display name per color id.
+    carried by at least one vertex.  The graph names its own items and
+    agents: ``vertex_names[v]`` is the unique name of vertex ``v`` and
+    ``color_labels[c]`` the unique name of color ``c``.  Build graphs with
+    ``build_graph``, which sets and checks both.
     """
 
     vertex_colors: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     color_count: int
-    color_labels: tuple[str, ...] | None = None
+    color_labels: tuple[str, ...]
+    vertex_names: tuple[str, ...]
 
     @property
     def vertex_count(self) -> int:
@@ -122,34 +125,38 @@ class ColoredDigraph:
         """Lowest edge id from ``tail`` to ``head``, or None if no such edge."""
         return self._lowest_edge_id.get((tail, head))
 
-    def color_label(self, color: int) -> str:
-        if self.color_labels is not None:
-            return self.color_labels[color]
-        return f"c{color}"
-
 
 def build_graph(
     vertex_colors: Sequence[int],
     edges: Sequence[tuple[int, int]],
     color_labels: Sequence[str] | None = None,
+    vertex_names: Sequence[str] | None = None,
 ) -> ColoredDigraph:
     """Construct and validate a colored digraph.
 
     Color ids must be dense: with K distinct colors, exactly the ids 0..K-1
     appear (each on at least one vertex).  Edge ids are assigned in input
-    order.  Raises ValueError on out-of-range endpoints, non-dense color
-    ids, or a declared color label with no vertex.
+    order.  Colors are labelled ``c0``, ``c1``, ... and vertices named
+    ``0``, ``1``, ... unless ``color_labels`` and ``vertex_names`` say
+    otherwise.  Raises ValueError on out-of-range endpoints, non-dense color
+    ids, a declared color label with no vertex, repeated labels or names, or
+    a name list whose length is not the vertex count.
     """
     colors = tuple(int(c) for c in vertex_colors)
     edge_list = tuple((int(u), int(v)) for u, v in edges)
     n = len(colors)
 
-    if color_labels is not None:
-        k = len(color_labels)
-        if len(set(color_labels)) != k:
-            raise ValueError("color labels must be unique")
-    else:
-        k = max(colors) + 1 if colors else 0
+    if color_labels is None:
+        color_labels = [f"c{c}" for c in range(max(colors) + 1 if colors else 0)]
+    labels = tuple(color_labels)
+    k = len(labels)
+    if len(set(labels)) != k:
+        raise ValueError("color labels must be unique")
+    names = tuple(map(str, range(n))) if vertex_names is None else tuple(vertex_names)
+    if len(names) != n:
+        raise ValueError(f"{len(names)} vertex names for {n} vertices")
+    if len(set(names)) != n:
+        raise ValueError("vertex names must be unique")
 
     present = set(colors)
     if colors and (min(colors) < 0 or max(colors) >= k):
@@ -162,8 +169,7 @@ def build_graph(
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {eid} endpoint out of range: ({u}, {v})")
 
-    labels = tuple(color_labels) if color_labels is not None else None
-    return ColoredDigraph(colors, edge_list, k, labels)
+    return ColoredDigraph(colors, edge_list, k, labels, names)
 
 
 def cycle_vertices(g: ColoredDigraph, cycle: Cycle) -> tuple[int, ...]:
@@ -171,16 +177,14 @@ def cycle_vertices(g: ColoredDigraph, cycle: Cycle) -> tuple[int, ...]:
     return tuple(g.edges[eid][0] for eid in cycle.edge_ids)
 
 
-def validate_cycle_set(
-    g: ColoredDigraph, s: CycleSet, names: Sequence[str] | None = None
-) -> SolutionMetrics:
+def validate_cycle_set(g: ColoredDigraph, s: CycleSet) -> SolutionMetrics:
     """Check that ``s`` is a set of vertex-disjoint simple cycles of ``g``.
 
     Returns the metrics (vertices covered, distinct colors covered) on
     success.  Raises NonexistentEdge, BrokenChain, RepeatedVertexInCycle or
-    OverlapBetweenCycles otherwise; ``names``, when given, names the
-    vertices in those messages.  The check is objective-agnostic: any set of
-    vertex-disjoint simple cycles is accepted, including the empty set.
+    OverlapBetweenCycles otherwise, naming vertices by ``g.vertex_names``.
+    The check is objective-agnostic: any set of vertex-disjoint simple
+    cycles is accepted, including the empty set.
     """
     seen: set[int] = set()
     covered_colors: set[int] = set()
@@ -193,25 +197,19 @@ def validate_cycle_set(
         for eid, next_eid in zip(cycle.edge_ids, cycle.edge_ids[1:] + cycle.edge_ids[:1]):
             if g.edges[eid][1] != g.edges[next_eid][0]:
                 raise BrokenChain(
-                    f"edge {eid} ends at {g.edges[eid][1]} but edge "
-                    f"{next_eid} starts at {g.edges[next_eid][0]}"
+                    f"edge {eid} ends at {g.vertex_names[g.edges[eid][1]]} but edge "
+                    f"{next_eid} starts at {g.vertex_names[g.edges[next_eid][0]]}"
                 )
         if len(set(vertices)) != len(vertices):
-            shown = vertices if names is None else " ".join(names[v] for v in vertices)
+            shown = " ".join(g.vertex_names[v] for v in vertices)
             raise RepeatedVertexInCycle(f"cycle {shown} is not simple")
         overlap = seen.intersection(vertices)
         if overlap:
-            shared = min(overlap) if names is None else names[min(overlap)]
-            raise OverlapBetweenCycles(f"vertex {shared} is in two cycles")
+            raise OverlapBetweenCycles(f"vertex {g.vertex_names[min(overlap)]} is in two cycles")
         seen.update(vertices)
         covered_colors.update(g.vertex_colors[v] for v in vertices)
         total += len(vertices)
     return SolutionMetrics(total, len(covered_colors))
-
-
-def graph_colors(g: ColoredDigraph) -> frozenset[int]:
-    """All color ids of the graph (the reference set for tropicality)."""
-    return frozenset(range(g.color_count))
 
 
 def is_tropical(g: ColoredDigraph, s: CycleSet) -> bool:
@@ -279,5 +277,4 @@ def cycle_set_from_successors(g: ColoredDigraph, successor: Sequence[int]) -> Cy
 
 def without_self_loops(g: ColoredDigraph) -> ColoredDigraph:
     """Copy of the graph with all self-loop edges removed (barter semantics)."""
-    kept = tuple(e for e in g.edges if e[0] != e[1])
-    return ColoredDigraph(g.vertex_colors, kept, g.color_count, g.color_labels)
+    return replace(g, edges=tuple(e for e in g.edges if e[0] != e[1]))

@@ -189,21 +189,21 @@ def build_2pc_graph(cnf: CnfInstance) -> ReductionArtifact:
 
 
 def gadget_map(art: ReductionArtifact) -> GadgetMap:
-    """The artifact's sidecar map, naming vertex v by ``str(v)`` as
-    ``serialize_graph`` does by default."""
+    """The artifact's sidecar map, naming vertices and colors as the gadget
+    graph does."""
     g = art.graph
     n = art.cnf.num_vars
 
     def named(cycle: Cycle) -> tuple[str, ...]:
-        return tuple(map(str, cycle_vertices(g, cycle)))
+        return tuple(g.vertex_names[v] for v in cycle_vertices(g, cycle))
 
     loops = [named(c) for c in art.true_loops + art.false_loops]
     return GadgetMap(
         num_vars=n,
         true_loops=dict(enumerate(loops[:n], start=1)),
         false_loops=dict(enumerate(loops[n:], start=1)),
-        clause_color_labels=dict(enumerate(map(g.color_label, art.clause_colors), start=1)),
-        balance_color_labels=tuple(map(g.color_label, sorted(art.balance_colors))),
+        clause_color_labels={j: g.color_labels[c] for j, c in enumerate(art.clause_colors, 1)},
+        balance_color_labels=tuple(g.color_labels[c] for c in sorted(art.balance_colors)),
         clauses=art.cnf.clauses,
         balance_cycle=named(art.balance_cycle) if art.balance_cycle is not None else (),
     )

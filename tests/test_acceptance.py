@@ -209,7 +209,7 @@ def test_criterion_9_formats_and_cli_decisions(tmp_path, capsys):
         "random": bc.gen_random(7, 3, 0.4, seed=9),
     }
     for name, g in fixtures.items():
-        parsed, _ = bc.parse_graph(bc.serialize_graph(g))
+        parsed = bc.parse_graph(bc.serialize_graph(g))
         if parsed != g:
             failures.append(f"{name}: graph round-trip mismatch")
         for objective in Objective:
@@ -218,9 +218,8 @@ def test_criterion_9_formats_and_cli_decisions(tmp_path, capsys):
                 failures.append(f"{name}/{objective.value}: solution round-trip mismatch")
 
     wantlist = "alice a1 : b1 b2\nbob b1 : a1\nbob b2 : b1\n"
-    g, names = bc.parse_wantlist(wantlist)
-    g2, names2 = bc.parse_wantlist(bc.serialize_wantlist(g, names))
-    if g2 != g or names2 != names:
+    g = bc.parse_wantlist(wantlist)
+    if bc.parse_wantlist(bc.serialize_wantlist(g)) != g:
         failures.append("want-list round-trip mismatch")
 
     # every solver-emitted solution passes `verify`

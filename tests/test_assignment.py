@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -154,9 +155,7 @@ def test_adding_an_edge_never_hurts(g):
     n = g.vertex_count
     for u in range(n):
         for v in range(n):
-            grown = bc.ColoredDigraph(
-                g.vertex_colors, g.edges + ((u, v),), g.color_count, g.color_labels
-            )
+            grown = replace(g, edges=g.edges + ((u, v),))
             bigger = bc.validate_cycle_set(grown, bc.solve_max_size(grown)).vertex_count
             assert bigger >= base
 

@@ -27,7 +27,7 @@ def test_gen_then_clear_then_verify(tmp_path, capsys):
     solution = tmp_path / "out.sol"
     assert main(["gen", "--vertices", "8", "--colors", "3", "--edge-prob", "0.4",
                  "--seed", "5", "--output", str(graph)]) == 0
-    assert main(["clear", "--input", str(graph), "--graph", "--objective", "max-size",
+    assert main(["clear", "--input", str(graph), "--objective", "max-size",
                  "--method", "exact", "--output", str(solution)]) == 0
     report = bc.parse_report(capsys.readouterr().out)
     assert report.objective == "max-size"
@@ -188,6 +188,28 @@ def test_pullback_rejects_cycles_outside_the_gadget(tmp_path, capsys):
     stray.write_text("C 0 2 9\n")
     assert main(["pullback", "--map", str(gmap), "--solution", str(stray)]) == 2
     assert capsys.readouterr().err.startswith("error: C 0 2 9 is neither")
+
+
+def test_pullback_matches_loops_by_cyclic_order(tmp_path, capsys):
+    cnf = tmp_path / "a.cnf"
+    cnf.write_text(DIMACS_A)
+    graph, gmap = tmp_path / "a.graph", tmp_path / "a.map"
+    assert main(["reduce", "--cnf", str(cnf), "--variant", "balanced",
+                 "--output", str(graph), "--map", str(gmap)]) == 0
+    assert "VAR 1 TRUE 0 2 5\nVAR 1 FALSE 0 6 7\nVAR 2 TRUE 1 4 8\n" in gmap.read_text()
+    capsys.readouterr()
+    solution = tmp_path / "a.sol"
+    solution.write_text("C 2 5 0\nC 8 1 4\n")  # both TRUE loops, rotated
+    assert main(["pullback", "--map", str(gmap), "--solution", str(solution)]) == 0
+    assert capsys.readouterr().out == "x1 T\nx2 T\nsatisfied 2 of 2\n"
+    solution.write_text("C 0 5 2\nC 1 8 4\n")  # the vertices of both loops, reversed
+    assert main(["verify", "--graph", str(graph), "--solution", str(solution)]) == 2
+    assert capsys.readouterr().err == "error: line 1: no edge 0 -> 5\n"
+    assert main(["pullback", "--map", str(gmap), "--solution", str(solution)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: C 0 5 2 is neither a loop nor the balance cycle "
+                            "of the gadget map\n")
 
 
 def test_2pc_pullback_accepts_the_balance_cycle(tmp_path, capsys):

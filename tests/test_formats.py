@@ -11,22 +11,24 @@ from conftest import CNF_A, CNF_B, CNF_C, small_graphs
 
 def test_graph_round_trip(g_pair, g_conflict, g_tie):
     for g in (g_pair, g_conflict, g_tie):
-        parsed, names = bc.parse_graph(bc.serialize_graph(g))
+        parsed = bc.parse_graph(bc.serialize_graph(g))
         assert parsed == g
-        assert names == tuple(str(v) for v in range(g.vertex_count))
+        assert parsed.vertex_names == tuple(str(v) for v in range(g.vertex_count))
 
 
 def test_graph_round_trip_custom_names(g_pair):
-    text = bc.serialize_graph(g_pair, ("a", "b"))
-    parsed, names = bc.parse_graph(text)
-    assert parsed == g_pair
-    assert names == ("a", "b")
+    g = bc.build_graph(g_pair.vertex_colors, g_pair.edges, g_pair.color_labels, ["a", "b"])
+    text = bc.serialize_graph(g)
+    assert text == "V a red\nV b blue\nE a b\nE b a\n"
+    parsed = bc.parse_graph(text)
+    assert parsed == g
+    assert parsed.vertex_names == ("a", "b")
 
 
 def test_graph_parse_comments_and_blanks():
     text = "# a market\n\nV a red  # alice's item\nV b blue\nE a b\nE b a\n"
-    g, names = bc.parse_graph(text)
-    assert names == ("a", "b")
+    g = bc.parse_graph(text)
+    assert g.vertex_names == ("a", "b")
     assert g.edges == ((0, 1), (1, 0))
     assert g.color_labels == ("red", "blue")
 
@@ -41,15 +43,15 @@ def test_graph_parse_errors_carry_line_numbers():
 
 
 def test_graph_parse_forward_edge_reference_is_fine():
-    g, _ = bc.parse_graph("E a b\nV a red\nV b red\n")
+    g = bc.parse_graph("E a b\nV a red\nV b red\n")
     assert g.edges == ((0, 1),)
 
 
 def test_empty_graph_round_trip():
     g = bc.build_graph([], [])
     assert bc.serialize_graph(g) == ""
-    parsed, names = bc.parse_graph("")
-    assert parsed == g and names == ()
+    parsed = bc.parse_graph("")
+    assert parsed == g and parsed.vertex_names == ()
 
 
 def test_solution_round_trip(g_conflict):
@@ -60,10 +62,11 @@ def test_solution_round_trip(g_conflict):
 
 
 def test_solution_round_trip_named(g_pair):
-    s = bc.solve_max_size(g_pair)
-    names = ("a", "b")
-    text = bc.serialize_solution(g_pair, s, names)
-    assert bc.parse_solution(text, g_pair, names) == s
+    g = bc.build_graph(g_pair.vertex_colors, g_pair.edges, g_pair.color_labels, ["a", "b"])
+    s = bc.solve_max_size(g)
+    text = bc.serialize_solution(g, s)
+    assert text == "C a b\n"
+    assert bc.parse_solution(text, g) == s
 
 
 def test_solution_serialization_canonicalizes(g_conflict):
@@ -97,26 +100,28 @@ def test_solution_parse_errors_carry_line_numbers(g_pair):
 
 
 def test_wantlist_pair_up_to_relabeling(g_pair):
-    g, names = bc.parse_wantlist("alice a1 : b1\nbob b1 : a1\n")
-    assert names == ("a1", "b1")
+    g = bc.parse_wantlist("alice a1 : b1\nbob b1 : a1\n")
+    assert g.vertex_names == ("a1", "b1")
     assert g.vertex_colors == g_pair.vertex_colors
     assert g.edges == g_pair.edges
     assert g.color_labels == ("alice", "bob")
 
 
 def test_wantlist_empty_wants():
-    g, names = bc.parse_wantlist("alice a1 :\n")
+    g = bc.parse_wantlist("alice a1 :\n")
     assert g.vertex_count == 1 and g.edge_count == 0
 
 
 def test_wantlist_self_loop_kept_then_droppable():
-    g, _ = bc.parse_wantlist("alice a1 : a1\n")
+    g = bc.parse_wantlist("alice a1 : a1\n")
     assert g.edges == ((0, 0),)
-    assert bc.without_self_loops(g).edges == ()
+    dropped = bc.without_self_loops(g)
+    assert dropped.edges == ()
+    assert (dropped.vertex_names, dropped.color_labels) == (("a1",), ("alice",))
 
 
 def test_wantlist_forward_reference_allowed():
-    g, names = bc.parse_wantlist("alice a1 : b1\nbob b1 :\n")
+    g = bc.parse_wantlist("alice a1 : b1\nbob b1 :\n")
     assert g.edges == ((0, 1),)
 
 
@@ -131,9 +136,8 @@ def test_wantlist_errors():
 
 def test_wantlist_round_trip():
     text = "alice a1 : b1 b2\nbob b1 : a1\nbob b2 :\n"
-    g, names = bc.parse_wantlist(text)
-    again, names2 = bc.parse_wantlist(bc.serialize_wantlist(g, names))
-    assert again == g and names2 == names
+    g = bc.parse_wantlist(text)
+    assert bc.parse_wantlist(bc.serialize_wantlist(g)) == g
 
 
 def test_dimacs_cnf_a():
@@ -242,6 +246,19 @@ def test_gadget_map_balance_cycle_record():
         bc.parse_gadget_map("VAR 1 TRUE 0\nVAR 1 FALSE 0\nBALANCECYCLE\n")
 
 
+def test_gadget_map_rejects_repeated_records():
+    text = bc.serialize_gadget_map(bc.gadget_map(bc.build_2pc_graph(CNF_C)))
+    assert "BALANCECOLOR " in text and "BALANCECYCLE " in text
+    last = text.count("\n")
+    for record, message in (("CLAUSE 01 1", "repeated CLAUSE 1 record"),
+                            ("CLAUSECOLOR 2 clause1", "repeated CLAUSECOLOR 2 record"),
+                            ("BALANCECOLOR", "repeated BALANCECOLOR record"),
+                            ("BALANCECYCLE 4 5", "repeated BALANCECYCLE record"),
+                            ("VAR 2 FALSE 1", "duplicate FALSE loop for variable 2")):
+        with pytest.raises(bc.ParseError, match=f"^line {last + 1}: {message}$"):
+            bc.parse_gadget_map(text + record + "\n")
+
+
 def test_gadget_map_rejects_incomplete_variables():
     with pytest.raises(bc.ParseError, match="incomplete VAR"):
         bc.parse_gadget_map("VAR 2 TRUE 1\nVAR 2 FALSE 1\n")
@@ -277,8 +294,8 @@ def test_report_round_trip_without_guarantee():
 @given(g=small_graphs())
 def test_generated_style_graphs_round_trip(g):
     # graphs whose color ids follow first vertex appearance round-trip exactly
-    parsed, _ = bc.parse_graph(bc.serialize_graph(g))
-    reparsed, _ = bc.parse_graph(bc.serialize_graph(parsed))
+    parsed = bc.parse_graph(bc.serialize_graph(g))
+    reparsed = bc.parse_graph(bc.serialize_graph(parsed))
     assert reparsed == parsed
     assert parsed.edges == g.edges
     assert parsed.vertex_count == g.vertex_count

@@ -14,15 +14,15 @@ def test_build_empty_graph():
     assert g.vertex_count == 0
     assert g.edge_count == 0
     assert g.color_count == 0
-    assert bc.graph_colors(g) == frozenset()
+    assert g.color_labels == () and g.vertex_names == ()
 
 
 def test_build_pair(g_pair):
     assert g_pair.vertex_count == 2
     assert g_pair.edge_count == 2
     assert g_pair.color_count == 2
-    assert bc.graph_colors(g_pair) == frozenset({0, 1})
-    assert g_pair.color_label(0) == "red"
+    assert g_pair.color_labels == ("red", "blue")
+    assert g_pair.vertex_names == ("0", "1")
 
 
 def test_build_conflict(g_conflict):
@@ -51,6 +51,13 @@ def test_build_rejects_duplicate_labels():
         bc.build_graph([0, 1], [], ["red", "red"])
 
 
+def test_build_rejects_bad_vertex_names():
+    with pytest.raises(ValueError, match="1 vertex names for 2 vertices"):
+        bc.build_graph([0, 0], [], vertex_names=["a"])
+    with pytest.raises(ValueError, match="vertex names must be unique"):
+        bc.build_graph([0, 0], [], vertex_names=["a", "a"])
+
+
 def test_validate_forced_pair(g_pair):
     s = bc.CycleSet((bc.Cycle((0, 1)),))
     assert bc.validate_cycle_set(g_pair, s) == bc.SolutionMetrics(2, 2)
@@ -60,11 +67,16 @@ def test_validate_empty_set_is_valid(g_pair):
     assert bc.validate_cycle_set(g_pair, bc.EMPTY_CYCLE_SET) == bc.SolutionMetrics(0, 0)
 
 
+NAMED_CONFLICT = "V a red\nV b red\nV c red\nV d blue\nE a b\nE b c\nE c a\nE a d\nE d a\n"
+
+
 def test_validate_rejects_overlap(g_conflict):
     # the 3-cycle a,b,c and the 2-cycle a,d share vertex a by construction
     s = bc.CycleSet((bc.Cycle((0, 1, 2)), bc.Cycle((3, 4))))
     with pytest.raises(bc.OverlapBetweenCycles):
         bc.validate_cycle_set(g_conflict, s)
+    with pytest.raises(bc.OverlapBetweenCycles, match="^vertex a is in two cycles$"):
+        bc.validate_cycle_set(bc.parse_graph(NAMED_CONFLICT), s)
 
 
 def test_validate_rejects_nonexistent_edge(g_pair):
@@ -76,6 +88,8 @@ def test_validate_rejects_broken_chain(g_conflict):
     # a->b followed by c->a does not chain
     with pytest.raises(bc.BrokenChain):
         bc.validate_cycle_set(g_conflict, bc.CycleSet((bc.Cycle((0, 2)),)))
+    with pytest.raises(bc.BrokenChain, match="^edge 0 ends at b but edge 2 starts at c$"):
+        bc.validate_cycle_set(bc.parse_graph(NAMED_CONFLICT), bc.CycleSet((bc.Cycle((0, 2)),)))
 
 
 def test_validate_rejects_repeated_vertex():
@@ -84,6 +98,9 @@ def test_validate_rejects_repeated_vertex():
     s = bc.CycleSet((bc.Cycle((0, 1, 2, 3)),))
     with pytest.raises(bc.RepeatedVertexInCycle):
         bc.validate_cycle_set(g, s)
+    named = bc.parse_graph("V a red\nV b red\nV c red\nE a b\nE b a\nE a c\nE c a\n")
+    with pytest.raises(bc.RepeatedVertexInCycle, match="^cycle a b a c is not simple$"):
+        bc.validate_cycle_set(named, s)
 
 
 def test_empty_cycle_is_rejected():
@@ -165,4 +182,4 @@ def test_tropicality_matches_color_coverage(g):
     covered = {
         g.vertex_colors[v] for c in s.cycles for v in bc.cycle_vertices(g, c)
     }
-    assert (metrics.color_count == g.color_count) == (covered == set(bc.graph_colors(g)))
+    assert (metrics.color_count == g.color_count) == (covered == set(range(g.color_count)))

@@ -37,11 +37,11 @@ def records(heads: list[str]) -> st.SearchStrategy[str]:
 TEXTS = st.one_of(st.sampled_from(HEADS).flatmap(records), st.text(max_size=60))
 
 MARKET = "V a red\nV b red\nV c red\nV d blue\nE a b\nE b c\nE c a\nE a d\nE d a\n"
-GRAPH, NAMES = bc.parse_graph(MARKET)
+GRAPH = bc.parse_graph(MARKET)
 
 PARSERS = {
     "parse_graph": bc.parse_graph,
-    "parse_solution": lambda text: bc.parse_solution(text, GRAPH, NAMES),
+    "parse_solution": lambda text: bc.parse_solution(text, GRAPH),
     "parse_cycles": bc.parse_cycles,
     "parse_wantlist": bc.parse_wantlist,
     "parse_dimacs": bc.parse_dimacs,
