@@ -61,6 +61,7 @@ from .graph import (
     canonical_cycle_set,
     cycle_from_vertices,
     cycle_set_from_successors,
+    cycle_set_from_vertices,
     cycle_vertices,
     is_tropical,
     successor_cycles,

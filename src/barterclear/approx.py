@@ -10,8 +10,9 @@ For j = 1 the approximation is exact, since vertices and colors coincide.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from .assignment import solve_max_size
 from .graph import ColoredDigraph, CycleSet
@@ -25,7 +26,7 @@ def per_color_bound(g: ColoredDigraph) -> int:
     """Exact maximum color multiplicity: the j of "at most j items per agent"."""
     if g.vertex_count == 0:
         raise EmptyGraph("no vertices")
-    return max(Counter(g.vertex_colors).values())
+    return int(np.bincount(g.vertex_colors).max())
 
 
 def approx_jpc(g: ColoredDigraph) -> tuple[CycleSet, Fraction]:

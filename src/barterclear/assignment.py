@@ -9,14 +9,13 @@ exists, and a full matching costs n plus the number of kept items, so a
 minimum-cost one trades the most vertices.  The non-dummy part of the
 matching is the successor configuration of the cycle set.
 
-The cost matrix is sparse, with n + (distinct edges) entries at most, and
-is solved by scipy's LAPJVsp (Jonker & Volgenant 1987, sparse variant).
-Costs are small integers, exact in floating point.
+The cost matrix is sparse, with n + (distinct edges) entries at most.  It
+comes straight from the graph's cached CSR view of its distinct edges, with
+the keeps spliced in, and is solved by scipy's LAPJVsp (Jonker & Volgenant
+1987, sparse variant).  Costs are small integers, exact in floating point.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -36,22 +35,13 @@ def assignment_costs(g: ColoredDigraph) -> csr_array:
     Column indices are ascending within each row.
     """
     n = g.vertex_count
-    indptr = [0]
-    indices: list[int] = []
-    keeps: list[int] = []  # positions in ``indices`` of the dummy keeps
-    for u, succ in enumerate(g.out_neighbors):
-        at = bisect_left(succ, u)
-        if at == len(succ) or succ[at] != u:
-            keeps.append(len(indices) + at)
-            succ = succ[:at] + (u,) + succ[at:]
-        indices.extend(succ)
-        indptr.append(len(indices))
-    data = np.full(len(indices), EDGE_COST, dtype=np.float64)
-    data[keeps] = KEEP_COST
-    return csr_array(
-        (data, np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(n, n),
-    )
+    edge_keys = g.csr.keys
+    # the diagonal entries the distinct edges lack are the keeps
+    keys, first = np.unique(np.concatenate((edge_keys, np.arange(n) * (n + 1))), return_index=True)
+    data = np.where(first < edge_keys.size, float(EDGE_COST), float(KEEP_COST))
+    rows, indices = np.divmod(keys, max(n, 1))
+    indptr = rows.searchsorted(np.arange(n + 1))
+    return csr_array((data, indices.astype(np.int32), indptr.astype(np.int32)), shape=(n, n))
 
 
 def max_size_successors(g: ColoredDigraph) -> list[int]:
@@ -60,8 +50,9 @@ def max_size_successors(g: ColoredDigraph) -> list[int]:
     # a square full matching lists every row in order, so the columns are
     # the successors
     _, heads = min_weight_full_bipartite_matching(assignment_costs(g))
-    succ = g.out_neighbors
-    return [-1 if v == u and u not in succ[u] else v for u, v in enumerate(heads.tolist())]
+    kept = heads == np.arange(g.vertex_count)
+    kept[g.tails[g.tails == g.heads]] = False  # a real self-loop trades
+    return np.where(kept, -1, heads).tolist()
 
 
 def solve_max_size(g: ColoredDigraph) -> CycleSet:

@@ -23,14 +23,16 @@ from dataclasses import dataclass
 from enum import Enum
 from time import monotonic
 
+import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .assignment import assignment_costs, max_size_successors, solve_max_size
+from .assignment import max_size_successors, solve_max_size
 from .graph import (
     ColoredDigraph,
     CycleSet,
-    cycle_from_vertices,
     cycle_set_from_successors,
+    cycle_set_from_vertices,
     successor_cycles,
 )
 
@@ -87,12 +89,15 @@ class _CycleSearch:
 
     def __init__(self, g: ColoredDigraph, budget: SearchBudget, key_of, v_cap: int) -> None:
         self.succ = g.out_neighbors
-        self.colors = g.vertex_colors
+        self.colors = g.vertex_colors.tolist()
         self.key_of = key_of
         self.v_cap = v_cap
         # a vertex lies on a cycle iff it has a self-loop or a nontrivial
         # strong component; a cycle never leaves its root's component
-        _, labels = connected_components(assignment_costs(g), directed=True, connection="strong")
+        view = g.csr
+        adjacency = csr_array((np.ones(view.indices.size), view.indices, view.indptr),
+                              shape=(g.vertex_count, g.vertex_count))
+        _, labels = connected_components(adjacency, directed=True, connection="strong")
         labels = labels.tolist()
         members = [0] * g.vertex_count
         for v, label in enumerate(labels):
@@ -190,8 +195,7 @@ def solve_with_stats(
         v_cap = sum(v >= 0 for v in max_size_successors(g))  # the vertices that trade
     search = _CycleSearch(g, budget or DEFAULT_BUDGET, _KEYS[objective], v_cap)
     search.visit(0, 0, 0, 0)
-    result = CycleSet(tuple(cycle_from_vertices(g, c) for c in search.best))
-    return result, SearchStats(search.nodes, monotonic() - t0)
+    return cycle_set_from_vertices(g, search.best), SearchStats(search.nodes, monotonic() - t0)
 
 
 def solve_tex(g: ColoredDigraph, budget: SearchBudget | None = None) -> CycleSet:
@@ -222,7 +226,7 @@ def brute_force_best(g: ColoredDigraph, objective: Objective) -> CycleSet:
     n = g.vertex_count
     if n > MAX_BRUTE_FORCE_VERTICES:
         raise TooLarge(f"{n} vertices (oracle limit {MAX_BRUTE_FORCE_VERTICES})")
-    colors = g.vertex_colors
+    colors = g.vertex_colors.tolist()
     k = g.color_count
     succ = g.out_neighbors
     key_of = _KEYS[objective]

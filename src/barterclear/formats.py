@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graph import (
     ColoredDigraph,
     CycleSet,
@@ -51,16 +53,18 @@ class BadParameters(ValueError):
 
 def _records(text: str):
     """Non-empty, comment-stripped (line_number, tokens) pairs."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+        if tokens:
+            yield lineno, tokens
 
 
-def _check_token(token: str, what: str) -> str:
-    if not token or any(ch.isspace() for ch in token) or token.startswith("#"):
-        raise ValueError(f"invalid {what}: {token!r}")
-    return token
+def _vertex_ids(names: list[str], index: dict[str, int]) -> np.ndarray:
+    """The ids of declared vertex names as an int array; the caller finds
+    the first undeclared one when this raises KeyError."""
+    return np.fromiter(map(index.__getitem__, names), dtype=np.intp, count=len(names))
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +73,9 @@ def _check_token(token: str, what: str) -> str:
 
 def serialize_graph(g: ColoredDigraph) -> str:
     """Graph text form, naming vertices and colors as the graph does."""
-    names = g.vertex_names
-    lines = []
-    for v in range(g.vertex_count):
-        name = _check_token(names[v], "vertex name")
-        label = _check_token(g.color_labels[g.vertex_colors[v]], "color label")
-        lines.append(f"V {name} {label}")
-    for u, v in g.edges:
-        lines.append(f"E {names[u]} {names[v]}")
+    names, labels = g.vertex_names, g.color_labels
+    lines = [f"V {name} {labels[c]}" for name, c in zip(names, g.vertex_colors.tolist())]
+    lines += [f"E {names[u]} {names[v]}" for u, v in g.edges]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -90,33 +89,33 @@ def parse_graph(text: str) -> ColoredDigraph:
     index: dict[str, int] = {}
     colors: list[int] = []
     label_id: dict[str, int] = {}
-    raw_edges: list[tuple[int, str, str]] = []
+    ends: list[str] = []  # tail, head, tail, head, ...
+    edge_lines: list[int] = []
 
     for lineno, tokens in _records(text):
         kind = tokens[0]
-        if kind == "V":
+        if kind == "E":
+            if len(tokens) != 3:
+                raise ParseError("E record needs <from-id> <to-id>", lineno)
+            ends += tokens[1:]
+            edge_lines.append(lineno)
+        elif kind == "V":
             if len(tokens) != 3:
                 raise ParseError("V record needs <vertex-id> <color-label>", lineno)
-            name, label = tokens[1], tokens[2]
+            name = tokens[1]
             if name in index:
                 raise ParseError(f"duplicate vertex {name!r}", lineno)
             index[name] = len(index)
-            colors.append(label_id.setdefault(label, len(label_id)))
-        elif kind == "E":
-            if len(tokens) != 3:
-                raise ParseError("E record needs <from-id> <to-id>", lineno)
-            raw_edges.append((lineno, tokens[1], tokens[2]))
+            colors.append(label_id.setdefault(tokens[2], len(label_id)))
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)
 
-    edges = []
-    for lineno, a, b in raw_edges:
-        if a not in index:
-            raise ParseError(f"edge endpoint {a!r} is not a declared vertex", lineno)
-        if b not in index:
-            raise ParseError(f"edge endpoint {b!r} is not a declared vertex", lineno)
-        edges.append((index[a], index[b]))
-
+    try:
+        edges = _vertex_ids(ends, index).reshape(-1, 2)
+    except KeyError:
+        i, end = next((i, end) for i, end in enumerate(ends) if end not in index)
+        raise ParseError(f"edge endpoint {end!r} is not a declared vertex",
+                         edge_lines[i // 2]) from None
     return build_graph(colors, edges, list(label_id), list(index))
 
 
@@ -170,9 +169,7 @@ def parse_solution(text: str, g: ColoredDigraph) -> CycleSet:
         try:
             cycles.append(cycle_from_vertices(g, vertices))
         except NonexistentEdge as exc:
-            u, w = next((u, w) for u, w in zip(cycle, cycle[1:] + cycle[:1])
-                        if g.edge_id_between(index[u], index[w]) is None)
-            raise ParseError(f"no edge {u} -> {w}", lineno) from exc
+            raise ParseError(str(exc), lineno) from exc
     return CycleSet(tuple(cycles))
 
 
@@ -188,43 +185,47 @@ def parse_wantlist(text: str) -> ColoredDigraph:
     list, duplicates kept as parallel edges.  Wanted items may be declared
     on any line of the file.
     """
-    entries: list[tuple[int, str, str, list[str]]] = []
     index: dict[str, int] = {}
+    colors: list[int] = []
+    agent_ids: dict[str, int] = {}
+    item_lines: list[int] = []
+    want_counts: list[int] = []
+    wanted: list[str] = []
     for lineno, tokens in _records(text):
         if len(tokens) < 3 or tokens[2] != ":":
             raise ParseError("expected '<agent> <item> : <item>*'", lineno)
-        agent, item, wants = tokens[0], tokens[1], tokens[3:]
+        item = tokens[1]
         if item in index:
             raise DuplicateItem(f"item {item!r} already declared", lineno)
-        index[item] = len(entries)
-        entries.append((lineno, agent, item, wants))
+        index[item] = len(index)
+        colors.append(agent_ids.setdefault(tokens[0], len(agent_ids)))
+        item_lines.append(lineno)
+        want_counts.append(len(tokens) - 3)
+        wanted += tokens[3:]
 
-    agent_ids: dict[str, int] = {}
-    colors = [agent_ids.setdefault(agent, len(agent_ids)) for _, agent, _, _ in entries]
-
-    edges = []
-    for lineno, _, item, wants in entries:
-        for want in wants:
-            if want not in index:
-                raise UnknownWantedItem(f"{item!r} wants undeclared item {want!r}", lineno)
-            edges.append((index[item], index[want]))
-
-    return build_graph(colors, edges, list(agent_ids), list(index))
+    names = list(index)
+    tails = np.repeat(np.arange(len(names)), want_counts)
+    try:
+        heads = _vertex_ids(wanted, index)
+    except KeyError:
+        i, want = next((i, want) for i, want in enumerate(wanted) if want not in index)
+        u = int(tails[i])
+        raise UnknownWantedItem(f"{names[u]!r} wants undeclared item {want!r}",
+                                item_lines[u]) from None
+    return build_graph(colors, np.stack([tails, heads], axis=1), list(agent_ids), names)
 
 
 def serialize_wantlist(g: ColoredDigraph) -> str:
     """Want-list text form; items are the graph's vertex names and agents
     its color labels."""
-    names = g.vertex_names
-    wants: list[list[str]] = [[] for _ in range(g.vertex_count)]
+    names, labels = g.vertex_names, g.color_labels
+    wants: list[list[str]] = [[] for _ in names]
     for u, v in g.edges:
         wants[u].append(names[v])
-    lines = []
-    for v in range(g.vertex_count):
-        agent = _check_token(g.color_labels[g.vertex_colors[v]], "agent name")
-        item = _check_token(names[v], "item name")
-        lines.append(f"{agent} {item} : " + " ".join(wants[v]) if wants[v] else f"{agent} {item} :")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        " ".join([f"{labels[c]} {item} :", *want]) + "\n"
+        for item, c, want in zip(names, g.vertex_colors.tolist(), wants)
+    )
 
 
 # ---------------------------------------------------------------------------

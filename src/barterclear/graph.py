@@ -8,14 +8,21 @@ colors (agents) the cycles cover.
 
 Graphs are multigraphs: self-loops and parallel edges are allowed, which is
 why cycles are stored as sequences of edge ids rather than vertex ids.
-All objects here are immutable values; operations are pure.
+A graph stores its vertex colors and edge endpoints as read-only int
+arrays, and derives one cached CSR view of its distinct edges, each with
+its lowest edge id; successor lists, edge-id lookups and the assignment
+cost matrix all come from that view.  All objects here are immutable
+values that compare by value; operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 
 class CycleSetError(ValueError):
@@ -78,52 +85,132 @@ class CycleSet:
 EMPTY_CYCLE_SET = CycleSet()
 
 
-@dataclass(frozen=True)
+class CsrView(NamedTuple):
+    """The distinct edges of a graph in compressed sparse row form.
+
+    Row ``u`` lists the heads of the edges out of ``u`` in ascending order:
+    ``indices[indptr[u]:indptr[u + 1]]``.  Parallel edges share one entry,
+    whose ``edge_ids`` value is their lowest edge id; ``keys`` holds each
+    entry's ``tail * vertex_count + head``, ascending, for lookups.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    edge_ids: np.ndarray
+    keys: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class ColoredDigraph:
     """Immutable vertex-colored directed multigraph.
 
-    Vertices and edges are dense integer ids.  ``vertex_colors[v]`` is the
-    color of vertex ``v``; ``edges[e]`` is the ``(tail, head)`` pair of edge
-    ``e``.  Color ids are dense ``0..color_count-1`` and every color is
-    carried by at least one vertex.  The graph names its own items and
-    agents: ``vertex_names[v]`` is the unique name of vertex ``v`` and
-    ``color_labels[c]`` the unique name of color ``c``.  Build graphs with
-    ``build_graph``, which sets and checks both.
+    Vertices and edges are dense integer ids, stored as read-only int
+    arrays: ``vertex_colors[v]`` is the color of vertex ``v``, and edge
+    ``e`` runs from ``tails[e]`` to ``heads[e]``.  Color ids are dense
+    ``0..color_count-1`` and every color is carried by at least one vertex.
+    The graph names its own items and agents: ``vertex_names[v]`` is the
+    unique name of vertex ``v`` and ``color_labels[c]`` the unique name of
+    color ``c``, each a single token of the text formats.  Build graphs
+    with ``build_graph``, which sets and checks all of this.
+
+    ``csr`` is the one cached view of the distinct edges that successors,
+    edge-id lookups and the assignment cost matrix derive from; ``edges``
+    gives the ``(tail, head)`` pairs for code that walks edges in Python.
+    Graphs compare by value: the same names, colors and edges in the same
+    order.
     """
 
-    vertex_colors: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    color_count: int
+    vertex_colors: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
     color_labels: tuple[str, ...]
     vertex_names: tuple[str, ...]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColoredDigraph):
+            return NotImplemented
+        return (
+            self.vertex_names == other.vertex_names
+            and self.color_labels == other.color_labels
+            and np.array_equal(self.vertex_colors, other.vertex_colors)
+            and np.array_equal(self.tails, other.tails)
+            and np.array_equal(self.heads, other.heads)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_names, self.color_labels, self.edge_count))
+
     @property
     def vertex_count(self) -> int:
-        return len(self.vertex_colors)
+        return len(self.vertex_names)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
+
+    @property
+    def color_count(self) -> int:
+        return len(self.color_labels)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """``(tail, head)`` of every edge, by edge id."""
+        return tuple(zip(self.tails.tolist(), self.heads.tolist()))
+
+    @cached_property
+    def csr(self) -> CsrView:
+        """The distinct edges in CSR form, each with its lowest edge id."""
+        n = self.vertex_count
+        keys, edge_ids = np.unique(self.tails * n + self.heads, return_index=True)
+        rows, indices = np.divmod(keys, max(n, 1))
+        # scipy's sparse graph routines work on 32-bit indices
+        indptr = rows.searchsorted(np.arange(n + 1)).astype(np.int32)
+        view = (indptr, indices.astype(np.int32), edge_ids, keys)
+        return CsrView(*map(_read_only, view))
 
     @cached_property
     def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Distinct successor vertices per vertex, ascending (parallel edges collapsed)."""
-        succ: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for tail, head in self.edges:
-            succ[tail].add(head)
-        return tuple(tuple(sorted(s)) for s in succ)
-
-    @cached_property
-    def _lowest_edge_id(self) -> dict[tuple[int, int], int]:
-        # first occurrence wins: edge ids are assigned in input order
-        lowest: dict[tuple[int, int], int] = {}
-        for eid, pair in enumerate(self.edges):
-            lowest.setdefault(pair, eid)
-        return lowest
+        indptr = self.csr.indptr.tolist()
+        indices = self.csr.indices.tolist()
+        return tuple(tuple(indices[a:b]) for a, b in zip(indptr, indptr[1:]))
 
     def edge_id_between(self, tail: int, head: int) -> int | None:
         """Lowest edge id from ``tail`` to ``head``, or None if no such edge."""
-        return self._lowest_edge_id.get((tail, head))
+        eid = int(_lowest_edge_ids(self, [tail], [head])[0])
+        return None if eid < 0 else eid
+
+
+def _lowest_edge_ids(g: ColoredDigraph, tails: Sequence[int], heads: Sequence[int]) -> np.ndarray:
+    """The lowest edge id from ``tails[i]`` to ``heads[i]`` for each i, or
+    -1 where ``g`` has no such edge."""
+    n = g.vertex_count
+    view = g.csr
+    t = np.asarray(tails, dtype=np.intp)
+    h = np.asarray(heads, dtype=np.intp)
+    if view.keys.size == 0:
+        return np.full(t.shape, -1)
+    keys = t * n + h
+    # a negative id reads as a huge unsigned one, so one test per side
+    # catches every out-of-range vertex, whose key might alias a real edge
+    keys[(t.view(np.uintp) >= n) | (h.view(np.uintp) >= n)] = -1
+    at = view.keys.searchsorted(keys)
+    found = view.keys.take(at, mode="clip") == keys
+    return np.where(found, view.edge_ids.take(at, mode="clip"), -1)
+
+
+def _check_tokens(values: tuple[str, ...], what: str) -> None:
+    """Names must survive the text formats: one token each, with no
+    whitespace and no ``#``, which starts a comment."""
+    joined = " ".join(values)
+    if "#" in joined or joined.split() != list(values):
+        bad = next(v for v in values if "#" in v or v.split() != [v])
+        raise ValueError(f"invalid {what}: {bad!r}")
 
 
 def build_graph(
@@ -134,20 +221,26 @@ def build_graph(
 ) -> ColoredDigraph:
     """Construct and validate a colored digraph.
 
-    Color ids must be dense: with K distinct colors, exactly the ids 0..K-1
-    appear (each on at least one vertex).  Edge ids are assigned in input
-    order.  Colors are labelled ``c0``, ``c1``, ... and vertices named
-    ``0``, ``1``, ... unless ``color_labels`` and ``vertex_names`` say
+    ``edges`` holds ``(tail, head)`` pairs, as a sequence or an ``(m, 2)``
+    integer array; edge ids are assigned in input order.  Color ids must be
+    dense: with K distinct colors, exactly the ids 0..K-1 appear (each on at
+    least one vertex).  Colors are labelled ``c0``, ``c1``, ... and vertices
+    named ``0``, ``1``, ... unless ``color_labels`` and ``vertex_names`` say
     otherwise.  Raises ValueError on out-of-range endpoints, non-dense color
-    ids, a declared color label with no vertex, repeated labels or names, or
-    a name list whose length is not the vertex count.
+    ids, a declared color label with no vertex, repeated labels or names, a
+    name list whose length is not the vertex count, or a name or label that
+    is empty or contains whitespace or ``#``.
     """
-    colors = tuple(int(c) for c in vertex_colors)
-    edge_list = tuple((int(u), int(v)) for u, v in edges)
+    colors = np.array(vertex_colors, dtype=np.intp)
+    ends = np.array(edges, dtype=np.intp)
+    if ends.size == 0:
+        ends = ends.reshape(0, 2)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError("edges must be (tail, head) pairs")
     n = len(colors)
 
     if color_labels is None:
-        color_labels = [f"c{c}" for c in range(max(colors) + 1 if colors else 0)]
+        color_labels = [f"c{c}" for c in range(colors.max() + 1 if n else 0)]
     labels = tuple(color_labels)
     k = len(labels)
     if len(set(labels)) != k:
@@ -157,24 +250,28 @@ def build_graph(
         raise ValueError(f"{len(names)} vertex names for {n} vertices")
     if len(set(names)) != n:
         raise ValueError("vertex names must be unique")
+    _check_tokens(labels, "color label")
+    _check_tokens(names, "vertex name")
 
-    present = set(colors)
-    if colors and (min(colors) < 0 or max(colors) >= k):
+    # a negative id reads as a huge unsigned one, so one maximum per array
+    # checks both ends of its range
+    if n and colors.view(np.uintp).max() >= k:
         raise ValueError(f"color ids must lie in 0..{k - 1}")
-    if present != set(range(k)):
-        missing = sorted(set(range(k)) - present)
-        raise ValueError(f"colors with no vertex: {missing}")
+    carriers = np.bincount(colors, minlength=k)
+    if not carriers.all():
+        raise ValueError(f"colors with no vertex: {np.flatnonzero(carriers == 0).tolist()}")
+    if ends.size and ends.view(np.uintp).max() >= n:
+        eid = int(np.flatnonzero((ends.view(np.uintp) >= n).any(axis=1))[0])
+        raise ValueError(f"edge {eid} endpoint out of range: {tuple(ends[eid].tolist())}")
 
-    for eid, (u, v) in enumerate(edge_list):
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge {eid} endpoint out of range: ({u}, {v})")
-
-    return ColoredDigraph(colors, edge_list, k, labels, names)
+    tails, heads = ends.T.copy()
+    return ColoredDigraph(*map(_read_only, (colors, tails, heads)), labels, names)
 
 
 def cycle_vertices(g: ColoredDigraph, cycle: Cycle) -> tuple[int, ...]:
     """Tail vertices of the cycle's edges, in traversal order."""
-    return tuple(g.edges[eid][0] for eid in cycle.edge_ids)
+    edges = g.edges
+    return tuple([edges[eid][0] for eid in cycle.edge_ids])
 
 
 def validate_cycle_set(g: ColoredDigraph, s: CycleSet) -> SolutionMetrics:
@@ -186,30 +283,28 @@ def validate_cycle_set(g: ColoredDigraph, s: CycleSet) -> SolutionMetrics:
     The check is objective-agnostic: any set of vertex-disjoint simple
     cycles is accepted, including the empty set.
     """
+    edges, names = g.edges, g.vertex_names
     seen: set[int] = set()
-    covered_colors: set[int] = set()
-    total = 0
     for cycle in s.cycles:
         for eid in cycle.edge_ids:
-            if not (0 <= eid < g.edge_count):
+            if not (0 <= eid < len(edges)):
                 raise NonexistentEdge(f"edge id {eid} not in graph")
         vertices = cycle_vertices(g, cycle)
         for eid, next_eid in zip(cycle.edge_ids, cycle.edge_ids[1:] + cycle.edge_ids[:1]):
-            if g.edges[eid][1] != g.edges[next_eid][0]:
+            if edges[eid][1] != edges[next_eid][0]:
                 raise BrokenChain(
-                    f"edge {eid} ends at {g.vertex_names[g.edges[eid][1]]} but edge "
-                    f"{next_eid} starts at {g.vertex_names[g.edges[next_eid][0]]}"
+                    f"edge {eid} ends at {names[edges[eid][1]]} but edge "
+                    f"{next_eid} starts at {names[edges[next_eid][0]]}"
                 )
         if len(set(vertices)) != len(vertices):
-            shown = " ".join(g.vertex_names[v] for v in vertices)
+            shown = " ".join(names[v] for v in vertices)
             raise RepeatedVertexInCycle(f"cycle {shown} is not simple")
         overlap = seen.intersection(vertices)
         if overlap:
-            raise OverlapBetweenCycles(f"vertex {g.vertex_names[min(overlap)]} is in two cycles")
+            raise OverlapBetweenCycles(f"vertex {names[min(overlap)]} is in two cycles")
         seen.update(vertices)
-        covered_colors.update(g.vertex_colors[v] for v in vertices)
-        total += len(vertices)
-    return SolutionMetrics(total, len(covered_colors))
+    covered_colors = set(g.vertex_colors[list(seen)].tolist())
+    return SolutionMetrics(len(seen), len(covered_colors))
 
 
 def is_tropical(g: ColoredDigraph, s: CycleSet) -> bool:
@@ -231,18 +326,29 @@ def canonical_cycle_set(g: ColoredDigraph, s: CycleSet) -> CycleSet:
     return CycleSet(tuple(rotated))
 
 
+def cycle_set_from_vertices(g: ColoredDigraph, cycles: Sequence[Sequence[int]]) -> CycleSet:
+    """The cycle set whose cycles are v1 -> v2 -> ... -> vk -> v1 for each
+    vertex sequence of ``cycles``, in order, with one edge-id lookup for all
+    of them; parallel edges resolve to the lowest edge id.  Raises
+    NonexistentEdge naming the first missing edge by its vertex names."""
+    cycles = [tuple(c) for c in cycles]
+    tails = [u for c in cycles for u in c]
+    heads = [v for c in cycles for v in c[1:] + c[:1]]
+    edge_ids = _lowest_edge_ids(g, tails, heads).tolist()
+    if -1 in edge_ids:
+        u, v = next((u, v) for u, v, eid in zip(tails, heads, edge_ids) if eid < 0)
+        raise NonexistentEdge(f"no edge {_vertex_name(g, u)} -> {_vertex_name(g, v)}")
+    it = iter(edge_ids)
+    return CycleSet(tuple(Cycle(tuple(islice(it, len(c)))) for c in cycles))
+
+
+def _vertex_name(g: ColoredDigraph, v: int) -> str:
+    return g.vertex_names[v] if 0 <= v < g.vertex_count else str(v)
+
+
 def cycle_from_vertices(g: ColoredDigraph, vertices: Sequence[int]) -> Cycle:
-    """Build the cycle v1 -> v2 -> ... -> vk -> v1, taking the lowest edge id
-    whenever parallel edges exist between consecutive vertices."""
-    edge_ids = []
-    k = len(vertices)
-    for i, u in enumerate(vertices):
-        v = vertices[(i + 1) % k]
-        eid = g.edge_id_between(u, v)
-        if eid is None:
-            raise NonexistentEdge(f"no edge {u} -> {v}")
-        edge_ids.append(eid)
-    return Cycle(tuple(edge_ids))
+    """Build the cycle v1 -> v2 -> ... -> vk -> v1 (see ``cycle_set_from_vertices``)."""
+    return cycle_set_from_vertices(g, [vertices]).cycles[0]
 
 
 def successor_cycles(successor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -272,9 +378,10 @@ def successor_cycles(successor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 def cycle_set_from_successors(g: ColoredDigraph, successor: Sequence[int]) -> CycleSet:
     """The canonical cycle set of a successor configuration of ``g``
     (see ``successor_cycles``); parallel edges resolve to the lowest edge id."""
-    return CycleSet(tuple(cycle_from_vertices(g, c) for c in successor_cycles(successor)))
+    return cycle_set_from_vertices(g, successor_cycles(successor))
 
 
 def without_self_loops(g: ColoredDigraph) -> ColoredDigraph:
     """Copy of the graph with all self-loop edges removed (barter semantics)."""
-    return replace(g, edges=tuple(e for e in g.edges if e[0] != e[1]))
+    keep = g.tails != g.heads
+    return replace(g, tails=_read_only(g.tails[keep]), heads=_read_only(g.heads[keep]))

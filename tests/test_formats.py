@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barterclear as bc
 from conftest import CNF_A, CNF_B, CNF_C, small_graphs
@@ -40,6 +41,14 @@ def test_graph_parse_errors_carry_line_numbers():
         bc.parse_graph("E a b\n")
     with pytest.raises(bc.ParseError, match="unknown record"):
         bc.parse_graph("X a b\n")
+    for text, message in (
+        ("V a\n", "line 1: V record needs <vertex-id> <color-label>"),
+        ("V a red\nE a\n", "line 2: E record needs <from-id> <to-id>"),
+        ("V a red\nE a b\nE c a\n", "line 2: edge endpoint 'b' is not a declared vertex"),
+        ("E a b\nX\n", "line 2: unknown record type 'X'"),
+    ):
+        with pytest.raises(bc.ParseError, match=f"^{message}$"):
+            bc.parse_graph(text)
 
 
 def test_graph_parse_forward_edge_reference_is_fine():
@@ -102,7 +111,7 @@ def test_solution_parse_errors_carry_line_numbers(g_pair):
 def test_wantlist_pair_up_to_relabeling(g_pair):
     g = bc.parse_wantlist("alice a1 : b1\nbob b1 : a1\n")
     assert g.vertex_names == ("a1", "b1")
-    assert g.vertex_colors == g_pair.vertex_colors
+    assert g.vertex_colors.tolist() == g_pair.vertex_colors.tolist()
     assert g.edges == g_pair.edges
     assert g.color_labels == ("alice", "bob")
 
@@ -132,6 +141,8 @@ def test_wantlist_errors():
         bc.parse_wantlist("alice a1 : ghost\n")
     with pytest.raises(bc.ParseError, match="line 1"):
         bc.parse_wantlist("alice a1\n")
+    with pytest.raises(bc.UnknownWantedItem, match="^line 2: 'b1' wants undeclared item 'ghost'$"):
+        bc.parse_wantlist("alice a1 : b1\nbob b1 : a1 ghost\nbob b2 : phantom\n")
 
 
 def test_wantlist_round_trip():
@@ -299,6 +310,40 @@ def test_generated_style_graphs_round_trip(g):
     assert reparsed == parsed
     assert parsed.edges == g.edges
     assert parsed.vertex_count == g.vertex_count
+
+
+def _carriable(name: str) -> bool:
+    return name != "" and "#" not in name and not any(ch.isspace() for ch in name)
+
+
+@st.composite
+def name_lists(draw):
+    """Six distinct tokens, at times with one replaced by a name that no
+    text format can carry."""
+    names = draw(st.lists(st.text(st.sampled_from("ab:éVE"), min_size=1, max_size=3),
+                          min_size=6, max_size=6, unique=True))
+    if draw(st.booleans()):
+        names[draw(st.integers(0, 5))] = draw(
+            st.sampled_from(["", " ", "#", "a#b", "a b", "\t", "b\n", "\x1c", "é\u2028"]))
+    return names
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_graphs(), names=name_lists(), labels=name_lists())
+def test_graphs_build_graph_accepts_read_back_equal(g, names, labels):
+    # both formats number colors by first appearance, and a want-list
+    # groups edges by tail, so the drawn graph is put in that order first
+    first = list(dict.fromkeys(g.vertex_colors.tolist()))
+    colors = [first.index(c) for c in g.vertex_colors.tolist()]
+    edges = sorted(g.edges, key=lambda e: e[0])
+    names, labels = names[:g.vertex_count], labels[:g.color_count]
+    if not all(map(_carriable, names + labels)):
+        with pytest.raises(ValueError, match="^invalid (vertex name|color label): "):
+            bc.build_graph(colors, edges, labels, names)
+        return
+    h = bc.build_graph(colors, edges, labels, names)
+    assert bc.parse_graph(bc.serialize_graph(h)) == h
+    assert bc.parse_wantlist(bc.serialize_wantlist(h)) == h
 
 
 def test_report_parse_ignores_old_traded_agents_line():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barterclear as bc
+from barterclear.assignment import EDGE_COST, KEEP_COST, assignment_costs
 from conftest import small_graphs
 
 
@@ -56,6 +58,21 @@ def test_build_rejects_bad_vertex_names():
         bc.build_graph([0, 0], [], vertex_names=["a"])
     with pytest.raises(ValueError, match="vertex names must be unique"):
         bc.build_graph([0, 0], [], vertex_names=["a", "a"])
+
+
+def test_build_rejects_names_no_text_format_can_carry():
+    # '#' starts a comment anywhere on a line, and whitespace splits tokens
+    for bad in ("a#b", "#a", "a b", "", " ", "a\tb", "a\nb", "a\u2028b"):
+        with pytest.raises(ValueError, match="^invalid vertex name: "):
+            bc.build_graph([0], [], vertex_names=[bad])
+        with pytest.raises(ValueError, match="^invalid color label: "):
+            bc.build_graph([0], [], color_labels=[bad])
+
+
+def test_graph_arrays_are_read_only(g_conflict):
+    for a in (g_conflict.vertex_colors, g_conflict.tails, g_conflict.heads, *g_conflict.csr):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_validate_forced_pair(g_pair):
@@ -146,6 +163,53 @@ def test_cycle_from_vertices_prefers_lowest_parallel_edge():
     g = bc.build_graph([0, 0], [(0, 1), (0, 1), (1, 0)])
     c = bc.cycle_from_vertices(g, [0, 1])
     assert c.edge_ids == (0, 2)
+
+
+def test_cycle_from_vertices_names_the_missing_edge():
+    g = bc.parse_graph("V a red\nV b red\nV c red\nE a b\nE b c\n")
+    with pytest.raises(bc.NonexistentEdge, match="^no edge c -> a$"):
+        bc.cycle_from_vertices(g, [0, 1, 2])
+    with pytest.raises(bc.NonexistentEdge, match="^no edge a -> 7$"):
+        bc.cycle_from_vertices(g, [0, 7])
+
+
+@st.composite
+def multigraphs(draw):
+    """Uncolored multigraphs of up to 30 vertices: self-loops, parallel
+    edges and isolated vertices all occur."""
+    n = draw(st.integers(0, 30))
+    if n == 0:
+        return bc.build_graph([], [])
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.one_of(st.tuples(vertex, vertex), vertex.map(lambda u: (u, u))),
+                          max_size=3 * n))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=n))  # parallel copies
+        edges = draw(st.permutations(edges))
+    return bc.build_graph([0] * n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=multigraphs())
+def test_array_core_matches_a_plain_python_reference(g):
+    n = g.vertex_count
+    first: dict[tuple[int, int], int] = {}
+    for eid, pair in enumerate(g.edges):
+        first.setdefault(pair, eid)
+    successors = [sorted({v for u, v in first if u == w}) for w in range(n)]
+    assert g.out_neighbors == tuple(map(tuple, successors))
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert g.edge_id_between(u, v) == first.get((u, v))
+    costs = assignment_costs(g)
+    expected = {pair: EDGE_COST for pair in first}
+    expected.update({(u, u): KEEP_COST for u in range(n) if (u, u) not in first})
+    rows = costs.tocoo()
+    assert {(int(u), int(v)): int(c) for u, v, c in zip(rows.row, rows.col, rows.data)} == expected
+    assert costs.nnz == len(expected)
+    for u in range(n):
+        columns = costs.indices[costs.indptr[u]:costs.indptr[u + 1]].tolist()
+        assert columns == sorted(columns)
 
 
 def test_successor_cycles_are_canonical():
