@@ -38,6 +38,7 @@ from .formats import (
     parse_report,
     parse_solution,
     parse_wantlist,
+    serialize_cycles,
     serialize_gadget_map,
     serialize_graph,
     serialize_report,
@@ -59,6 +60,7 @@ from .graph import (
     build_graph,
     canonical_cycle,
     canonical_cycle_set,
+    canonical_cycle_vertices,
     cycle_from_vertices,
     cycle_set_from_successors,
     cycle_set_from_vertices,

@@ -31,6 +31,7 @@ from .formats import (
     parse_graph,
     parse_solution,
     parse_wantlist,
+    serialize_cycles,
     serialize_gadget_map,
     serialize_graph,
     serialize_report,
@@ -91,7 +92,8 @@ def cmd_clear(args: argparse.Namespace) -> int:
         guarantee_text = ""
     # a run never emits a solution it cannot verify
     metrics = validate_cycle_set(g, solution)
-    Path(args.output).write_text(serialize_solution(g, solution))
+    cycles = solution_cycles(g, solution)
+    Path(args.output).write_text(serialize_cycles(cycles))
     report = RunReport(
         objective=args.objective,
         method=args.method,
@@ -101,7 +103,7 @@ def cmd_clear(args: argparse.Namespace) -> int:
         nodes=nodes,
         seconds=seconds,
         guarantee=guarantee_text,
-        cycles=solution_cycles(g, solution),
+        cycles=cycles,
     )
     sys.stdout.write(serialize_report(report))
     if args.min_vertices is not None and metrics.vertex_count < args.min_vertices:

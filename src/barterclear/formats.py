@@ -8,12 +8,21 @@ v1 -> v2 -> ... -> vk -> v1; when parallel edges exist between consecutive
 vertices the lowest edge id is taken.  Want-lists use the community format
 ``<agent> <item> : <item>*``.  Parsing a serialized canonical object gives
 the object back exactly.
+
+Graph files are parsed in bulk: the text is split once, the record shapes
+are checked over all records at once, and names, labels and endpoints are
+sliced out of the flat tokens, with no Python loop over the records.  Only
+when a check fails does a record-at-a-time walk find the error to report,
+so the errors and their precedence are those of reading one record at a
+time.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
+from typing import Iterable
 
 import numpy as np
 
@@ -21,9 +30,8 @@ from .graph import (
     ColoredDigraph,
     CycleSet,
     build_graph,
-    canonical_cycle_set,
+    canonical_cycle_vertices,
     cycle_from_vertices,
-    cycle_vertices,
     NonexistentEdge,
 )
 from .sat import CnfInstance, EmptyClause, LiteralOutOfRange
@@ -51,20 +59,25 @@ class BadParameters(ValueError):
     """Invalid random-instance parameters."""
 
 
-def _records(text: str):
-    """Non-empty, comment-stripped (line_number, tokens) pairs."""
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` with comments stripped."""
     lines = text.splitlines()
     if "#" in text:
         lines = [raw.split("#", 1)[0] for raw in lines]
-    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+    return lines
+
+
+def _records(text: str):
+    """Non-empty, comment-stripped (line_number, tokens) pairs."""
+    for lineno, tokens in enumerate(map(str.split, _lines(text)), start=1):
         if tokens:
             yield lineno, tokens
 
 
-def _vertex_ids(names: list[str], index: dict[str, int]) -> np.ndarray:
-    """The ids of declared vertex names as an int array; the caller finds
+def _vertex_ids(names: Iterable[str], index: dict[str, int], count: int) -> np.ndarray:
+    """The ids of ``count`` declared names as an int array; the caller finds
     the first undeclared one when this raises KeyError."""
-    return np.fromiter(map(index.__getitem__, names), dtype=np.intp, count=len(names))
+    return np.fromiter(map(index.__getitem__, names), dtype=np.intp, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -84,39 +97,77 @@ def parse_graph(text: str) -> ColoredDigraph:
 
     Vertex ids are assigned densely in declaration order and color ids in
     order of first label appearance, so serializing the result reproduces
-    the input.
+    the input.  The text is split once and checked in bulk: every non-blank
+    record has three tokens and kind ``V`` or ``E``, no vertex is declared
+    twice and every endpoint is declared.  On a failed check the error is
+    that of reading one record at a time: the first malformed record or
+    duplicate vertex in file order, and only when there is none, the first
+    undeclared endpoint.
     """
-    index: dict[str, int] = {}
-    colors: list[int] = []
-    label_id: dict[str, int] = {}
-    ends: list[str] = []  # tail, head, tail, head, ...
-    edge_lines: list[int] = []
+    kind, firsts, seconds = _graph_records(text)
+    is_v, is_e = kind.translate(_IS_V), kind.translate(_IS_E)
+    names = list(compress(firsts, is_v))
+    index = dict(zip(names, range(len(names))))
+    if len(index) < len(names):
+        raise _graph_error(text)  # a duplicate vertex
+    edge_count = len(kind) - len(names)
+    try:
+        tails = _vertex_ids(compress(firsts, is_e), index, edge_count)
+        heads = _vertex_ids(compress(seconds, is_e), index, edge_count)
+    except KeyError:
+        raise _graph_error(text) from None  # an undeclared endpoint
+    labels = list(compress(seconds, is_v))
+    unique_labels = dict.fromkeys(labels)
+    colors = _vertex_ids(labels, dict(zip(unique_labels, range(len(unique_labels)))), len(labels))
+    return build_graph(colors, np.array([tails, heads]).T, list(unique_labels), names)
 
+
+def _graph_records(text: str) -> tuple[bytes, list[str], list[str]]:
+    """The kind (``V`` or ``E``) of every record of a graph file, as bytes,
+    and the first and second token after it, from one split of the text.
+    Raises the file's first error unless every non-blank record has three
+    tokens and kind ``V`` or ``E``; the lines and the token list are freed
+    on return."""
+    lines = _lines(text)
+    tokens = ("\n".join(lines) if "#" in text else text).split()
+    kinds = tokens[0::3]
+    # three tokens per record, proved on the lines: a flat token stream
+    # cannot tell "V a" + "E V b c0" from two well-formed records
+    if not (set(map(len, map(str.split, lines))) <= {0, 3} and set(kinds) <= {"V", "E"}):
+        raise _graph_error(text)
+    return "".join(kinds).encode(), tokens[1::3], tokens[2::3]
+
+
+# record kinds V/E to the bytes 1/0 and 0/1: the selectors of ``compress``
+_IS_V = bytes.maketrans(b"VE", b"\1\0")
+_IS_E = bytes.maketrans(b"VE", b"\0\1")
+
+
+def _graph_error(text: str) -> ParseError:
+    """The first error of a graph file that has one, reading one record at a
+    time: a malformed record or duplicate vertex anywhere comes before an
+    undeclared edge endpoint, the first of which is named."""
+    declared: set[str] = set()
+    edges: list[tuple[int, list[str]]] = []
     for lineno, tokens in _records(text):
         kind = tokens[0]
         if kind == "E":
             if len(tokens) != 3:
-                raise ParseError("E record needs <from-id> <to-id>", lineno)
-            ends += tokens[1:]
-            edge_lines.append(lineno)
+                return ParseError("E record needs <from-id> <to-id>", lineno)
+            edges.append((lineno, tokens[1:]))
         elif kind == "V":
             if len(tokens) != 3:
-                raise ParseError("V record needs <vertex-id> <color-label>", lineno)
-            name = tokens[1]
-            if name in index:
-                raise ParseError(f"duplicate vertex {name!r}", lineno)
-            index[name] = len(index)
-            colors.append(label_id.setdefault(tokens[2], len(label_id)))
+                return ParseError("V record needs <vertex-id> <color-label>", lineno)
+            if tokens[1] in declared:
+                return ParseError(f"duplicate vertex {tokens[1]!r}", lineno)
+            declared.add(tokens[1])
         else:
-            raise ParseError(f"unknown record type {kind!r}", lineno)
-
-    try:
-        edges = _vertex_ids(ends, index).reshape(-1, 2)
-    except KeyError:
-        i, end = next((i, end) for i, end in enumerate(ends) if end not in index)
-        raise ParseError(f"edge endpoint {end!r} is not a declared vertex",
-                         edge_lines[i // 2]) from None
-    return build_graph(colors, edges, list(label_id), list(index))
+            return ParseError(f"unknown record type {kind!r}", lineno)
+    for lineno, ends in edges:
+        for end in ends:
+            if end not in declared:
+                return ParseError(f"edge endpoint {end!r} is not a declared vertex", lineno)
+    raise AssertionError("the graph file has no error")
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +176,19 @@ def parse_graph(text: str) -> ColoredDigraph:
 
 def solution_cycles(g: ColoredDigraph, s: CycleSet) -> tuple[tuple[str, ...], ...]:
     """The canonical cycles of ``s`` (rotated and sorted) as vertex-name tuples."""
-    return tuple(
-        tuple(g.vertex_names[v] for v in cycle_vertices(g, c))
-        for c in canonical_cycle_set(g, s).cycles
-    )
+    names = g.vertex_names
+    return tuple([tuple([names[v] for v in c]) for c in canonical_cycle_vertices(g, s)])
+
+
+def serialize_cycles(cycles: tuple[tuple[str, ...], ...]) -> str:
+    """Solution text form of vertex-name cycles, in order; ``parse_cycles``
+    reads them back."""
+    return "".join("C " + " ".join(cycle) + "\n" for cycle in cycles)
 
 
 def serialize_solution(g: ColoredDigraph, s: CycleSet) -> str:
     """Canonical solution text form; ``parse_cycles`` reads its cycles back."""
-    return "".join("C " + " ".join(cycle) + "\n" for cycle in solution_cycles(g, s))
+    return serialize_cycles(solution_cycles(g, s))
 
 
 def _cycle_records(text: str):
@@ -206,7 +261,7 @@ def parse_wantlist(text: str) -> ColoredDigraph:
     names = list(index)
     tails = np.repeat(np.arange(len(names)), want_counts)
     try:
-        heads = _vertex_ids(wanted, index)
+        heads = _vertex_ids(wanted, index, len(wanted))
     except KeyError:
         i, want = next((i, want) for i, want in enumerate(wanted) if want not in index)
         u = int(tails[i])

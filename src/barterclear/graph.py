@@ -11,8 +11,18 @@ why cycles are stored as sequences of edge ids rather than vertex ids.
 A graph stores its vertex colors and edge endpoints as read-only int
 arrays, and derives one cached CSR view of its distinct edges, each with
 its lowest edge id; successor lists, edge-id lookups and the assignment
-cost matrix all come from that view.  All objects here are immutable
-values that compare by value; operations are pure.
+cost matrix all come from that view.  Validation and canonical forms read
+the endpoints of all of a cycle set's edges with one gather from the
+``tails`` and ``heads`` arrays, and check the cycles on those lists; the
+per-edge tuple ``g.edges`` is left to code that walks a whole graph.  All
+objects here are immutable values that compare by value; operations are
+pure.
+
+Tuples made once per solution are built from lists, not from iterators:
+CPython resizes a tuple built from an iterator of unknown length, and such
+a tuple, once freed, stays on the interpreter's free list for its size
+until a full garbage collection, which a clear that allocates few tracked
+objects seldom triggers.
 """
 
 from __future__ import annotations
@@ -226,13 +236,22 @@ def build_graph(
     dense: with K distinct colors, exactly the ids 0..K-1 appear (each on at
     least one vertex).  Colors are labelled ``c0``, ``c1``, ... and vertices
     named ``0``, ``1``, ... unless ``color_labels`` and ``vertex_names`` say
-    otherwise.  Raises ValueError on out-of-range endpoints, non-dense color
-    ids, a declared color label with no vertex, repeated labels or names, a
-    name list whose length is not the vertex count, or a name or label that
-    is empty or contains whitespace or ``#``.
+    otherwise.  Raises ValueError on color ids or endpoints whose dtype is
+    not an integer one (bool and float are not), out-of-range endpoints,
+    non-dense color ids, a declared color label with no vertex, repeated
+    labels or names, a name list whose length is not the vertex count, or a
+    name or label that is empty or contains whitespace or ``#``.
     """
-    colors = np.array(vertex_colors, dtype=np.intp)
-    ends = np.array(edges, dtype=np.intp)
+    # a copy, since the graph makes its arrays read-only
+    colors = np.array(vertex_colors)
+    ends = np.asarray(edges)
+    # a cast would truncate floats and parse strings
+    if colors.size and colors.dtype.kind not in "iu":
+        raise ValueError(f"color ids must be integers, got {colors.dtype}")
+    if ends.size and ends.dtype.kind not in "iu":
+        raise ValueError(f"edge endpoints must be integers, got {ends.dtype}")
+    colors = colors.astype(np.intp, copy=False)
+    ends = ends.astype(np.intp, copy=False)
     if ends.size == 0:
         ends = ends.reshape(0, 2)
     if ends.ndim != 2 or ends.shape[1] != 2:
@@ -268,10 +287,13 @@ def build_graph(
     return ColoredDigraph(*map(_read_only, (colors, tails, heads)), labels, names)
 
 
+def _edge_ids(cycles: Sequence[Cycle]) -> list[int]:
+    return [eid for c in cycles for eid in c.edge_ids]
+
+
 def cycle_vertices(g: ColoredDigraph, cycle: Cycle) -> tuple[int, ...]:
     """Tail vertices of the cycle's edges, in traversal order."""
-    edges = g.edges
-    return tuple([edges[eid][0] for eid in cycle.edge_ids])
+    return tuple(g.tails[list(cycle.edge_ids)].tolist())
 
 
 def validate_cycle_set(g: ColoredDigraph, s: CycleSet) -> SolutionMetrics:
@@ -279,32 +301,42 @@ def validate_cycle_set(g: ColoredDigraph, s: CycleSet) -> SolutionMetrics:
 
     Returns the metrics (vertices covered, distinct colors covered) on
     success.  Raises NonexistentEdge, BrokenChain, RepeatedVertexInCycle or
-    OverlapBetweenCycles otherwise, naming vertices by ``g.vertex_names``.
-    The check is objective-agnostic: any set of vertex-disjoint simple
-    cycles is accepted, including the empty set.
+    OverlapBetweenCycles otherwise, naming vertices by ``g.vertex_names``:
+    the error of the first faulty cycle, checked in that order.  The check
+    is objective-agnostic: any set of vertex-disjoint simple cycles is
+    accepted, including the empty set.
     """
-    edges, names = g.edges, g.vertex_names
+    cycles = s.cycles
+    ids = _edge_ids(cycles)
+    m = g.edge_count
+    if ids and not (0 <= min(ids) and max(ids) < m):
+        j, eid = next((j, eid) for j, c in enumerate(cycles) for eid in c.edge_ids
+                      if not 0 <= eid < m)
+        validate_cycle_set(g, CycleSet(cycles[:j]))  # a fault of an earlier cycle comes first
+        raise NonexistentEdge(f"edge id {eid} not in graph")
+    # one gather of the endpoints of every edge of the set
+    tail_array = g.tails[ids]
+    tails, heads = tail_array.tolist(), g.heads[ids].tolist()
+    names = g.vertex_names
     seen: set[int] = set()
-    for cycle in s.cycles:
-        for eid in cycle.edge_ids:
-            if not (0 <= eid < len(edges)):
-                raise NonexistentEdge(f"edge id {eid} not in graph")
-        vertices = cycle_vertices(g, cycle)
-        for eid, next_eid in zip(cycle.edge_ids, cycle.edge_ids[1:] + cycle.edge_ids[:1]):
-            if edges[eid][1] != edges[next_eid][0]:
-                raise BrokenChain(
-                    f"edge {eid} ends at {names[edges[eid][1]]} but edge "
-                    f"{next_eid} starts at {names[edges[next_eid][0]]}"
-                )
-        if len(set(vertices)) != len(vertices):
+    at = 0
+    for c in cycles:
+        k = len(c)
+        vertices = tails[at:at + k]
+        nexts = vertices[1:] + vertices[:1]
+        if heads[at:at + k] != nexts:
+            i = next(i for i in range(k) if heads[at + i] != nexts[i])
+            raise BrokenChain(f"edge {c.edge_ids[i]} ends at {names[heads[at + i]]} but edge "
+                              f"{c.edge_ids[(i + 1) % k]} starts at {names[nexts[i]]}")
+        if len(set(vertices)) != k:
             shown = " ".join(names[v] for v in vertices)
             raise RepeatedVertexInCycle(f"cycle {shown} is not simple")
         overlap = seen.intersection(vertices)
         if overlap:
             raise OverlapBetweenCycles(f"vertex {names[min(overlap)]} is in two cycles")
         seen.update(vertices)
-    covered_colors = set(g.vertex_colors[list(seen)].tolist())
-    return SolutionMetrics(len(seen), len(covered_colors))
+        at += k
+    return SolutionMetrics(len(seen), len(set(g.vertex_colors[tail_array].tolist())))
 
 
 def is_tropical(g: ColoredDigraph, s: CycleSet) -> bool:
@@ -312,18 +344,36 @@ def is_tropical(g: ColoredDigraph, s: CycleSet) -> bool:
     return validate_cycle_set(g, s).color_count == g.color_count
 
 
+def _rotations(g: ColoredDigraph, s: CycleSet) -> list[tuple[Cycle, int, list[int]]]:
+    """Each cycle of ``s`` with the position of its smallest vertex and its
+    vertices rotated to start there, from one gather, in a stable sort by
+    that vertex: the canonical order."""
+    tails = g.tails[_edge_ids(s.cycles)].tolist()
+    out = []
+    at = 0
+    for c in s.cycles:
+        vertices = tails[at:at + len(c)]
+        at += len(c)
+        pivot = vertices.index(min(vertices))
+        out.append((c, pivot, vertices[pivot:] + vertices[:pivot]))
+    out.sort(key=lambda r: r[2][0])
+    return out
+
+
 def canonical_cycle(g: ColoredDigraph, cycle: Cycle) -> Cycle:
     """Rotate the cycle so its smallest vertex id comes first."""
-    vertices = cycle_vertices(g, cycle)
-    pivot = vertices.index(min(vertices))
-    return Cycle(cycle.edge_ids[pivot:] + cycle.edge_ids[:pivot])
+    return canonical_cycle_set(g, CycleSet((cycle,))).cycles[0]
 
 
 def canonical_cycle_set(g: ColoredDigraph, s: CycleSet) -> CycleSet:
     """Canonical form: each cycle rotated to its smallest vertex, cycles sorted by it."""
-    rotated = [canonical_cycle(g, c) for c in s.cycles]
-    rotated.sort(key=lambda c: g.edges[c.edge_ids[0]][0])
-    return CycleSet(tuple(rotated))
+    return CycleSet(tuple([Cycle(c.edge_ids[p:] + c.edge_ids[:p]) for c, p, _ in _rotations(g, s)]))
+
+
+def canonical_cycle_vertices(g: ColoredDigraph, s: CycleSet) -> tuple[tuple[int, ...], ...]:
+    """The vertices of each cycle of ``canonical_cycle_set(g, s)``, in
+    traversal order."""
+    return tuple([tuple(vertices) for _, _, vertices in _rotations(g, s)])
 
 
 def cycle_set_from_vertices(g: ColoredDigraph, cycles: Sequence[Sequence[int]]) -> CycleSet:
@@ -377,8 +427,16 @@ def successor_cycles(successor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 def cycle_set_from_successors(g: ColoredDigraph, successor: Sequence[int]) -> CycleSet:
     """The canonical cycle set of a successor configuration of ``g``
-    (see ``successor_cycles``); parallel edges resolve to the lowest edge id."""
-    return cycle_set_from_vertices(g, successor_cycles(successor))
+    (see ``successor_cycles``), from one edge-id lookup of every pair
+    ``(u, successor[u])``; parallel edges resolve to the lowest edge id.
+    Raises NonexistentEdge naming the first missing edge in cycle order."""
+    edge_of = _lowest_edge_ids(g, np.arange(len(successor)), successor).tolist()
+    cycles = successor_cycles(successor)
+    edge_ids = [tuple([edge_of[u] for u in c]) for c in cycles]
+    if any(-1 in ids for ids in edge_ids):
+        u = next(u for c in cycles for u in c if edge_of[u] < 0)
+        raise NonexistentEdge(f"no edge {_vertex_name(g, u)} -> {_vertex_name(g, successor[u])}")
+    return CycleSet(tuple([Cycle(ids) for ids in edge_ids]))
 
 
 def without_self_loops(g: ColoredDigraph) -> ColoredDigraph:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import barterclear as bc
@@ -49,6 +49,82 @@ def test_graph_parse_errors_carry_line_numbers():
     ):
         with pytest.raises(bc.ParseError, match=f"^{message}$"):
             bc.parse_graph(text)
+
+
+def reference_parse_graph(text):
+    """The graph file read one record at a time: the loop that the bulk
+    parse_graph replaced, kept as the reference for its graphs and errors."""
+    index, colors, label_id, ends, edge_lines = {}, [], {}, [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        kind = tokens[0]
+        if kind == "E":
+            if len(tokens) != 3:
+                raise bc.ParseError("E record needs <from-id> <to-id>", lineno)
+            ends += tokens[1:]
+            edge_lines.append(lineno)
+        elif kind == "V":
+            if len(tokens) != 3:
+                raise bc.ParseError("V record needs <vertex-id> <color-label>", lineno)
+            if tokens[1] in index:
+                raise bc.ParseError(f"duplicate vertex {tokens[1]!r}", lineno)
+            index[tokens[1]] = len(index)
+            colors.append(label_id.setdefault(tokens[2], len(label_id)))
+        else:
+            raise bc.ParseError(f"unknown record type {kind!r}", lineno)
+    for i, end in enumerate(ends):
+        if end not in index:
+            raise bc.ParseError(f"edge endpoint {end!r} is not a declared vertex", edge_lines[i // 2])
+    edges = [(index[t], index[h]) for t, h in zip(ends[0::2], ends[1::2])]
+    return bc.build_graph(colors, edges, list(label_id), list(index))
+
+
+@st.composite
+def graph_texts(draw):
+    """Graph files of well-formed and malformed records: V and E records
+    interleaved, vertices named V or E, 2- and 4-token records side by side,
+    duplicate vertices, undeclared endpoints, blank and whitespace-only
+    lines, tabs, and comments starting mid-line."""
+    name = st.sampled_from(["a", "b", "c", "V", "E"])
+    record = st.one_of(
+        st.tuples(st.just("V"), name, st.sampled_from(["red", "c0", "V"])),
+        st.tuples(st.just("E"), name, name),
+        st.lists(st.sampled_from(["V", "E", "X", "a", "b", "c0"]), min_size=1, max_size=4),
+    )
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t ", "# note", "  #"])))
+            continue
+        tokens = draw(record)
+        seps = draw(st.lists(st.sampled_from([" ", "\t", "  "]), min_size=len(tokens),
+                             max_size=len(tokens)))
+        line = draw(st.sampled_from(["", " ", "\t"])) + "".join(map(str.__add__, tokens, seps))
+        if draw(st.booleans()):
+            line = line.rstrip()  # a comment may touch the last token
+        lines.append(line + draw(st.sampled_from(["", "", "#", " # E a b", "#V"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except bc.ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(graph_texts(),
+                      st.text(st.sampled_from("VEab #\n\t\r\x0b\x1c\x85\xa0\u2028"), max_size=40)))
+@example("V a red\nE V b c0\n")
+@example("V a\nE V b c0\n")
+@example("E a b\nV a red\nV V red\nE V a\n")
+@example("E a ghost\nV a red\nV a blue\n")
+@example("V a red\nE a ghost\nE a\n")
+def test_bulk_graph_parse_matches_a_record_at_a_time_reference(text):
+    assert _parse_outcome(bc.parse_graph, text) == _parse_outcome(reference_parse_graph, text)
 
 
 def test_graph_parse_forward_edge_reference_is_fine():

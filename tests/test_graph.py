@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,23 @@ def test_build_rejects_bad_vertex_names():
         bc.build_graph([0, 0], [], vertex_names=["a"])
     with pytest.raises(ValueError, match="vertex names must be unique"):
         bc.build_graph([0, 0], [], vertex_names=["a", "a"])
+
+
+def test_build_rejects_ids_that_are_not_integers():
+    # a cast to int would truncate floats, read bools as 0/1 and parse strings
+    for colors, edges, what in (
+        ([0, 1], [(0.7, 1.2)], "edge endpoints"),
+        ([0.5, 1.9], [(0, 1)], "color ids"),
+        ([0, 1], [("0", "1")], "edge endpoints"),
+        ([True, False], [], "color ids"),
+        ([0, 1], np.array([[True, False]]), "edge endpoints"),
+    ):
+        with pytest.raises(ValueError, match=f"^{what} must be integers, got "):
+            bc.build_graph(colors, edges)
+    # empty inputs carry no dtype worth checking; other integer dtypes are fine
+    assert bc.build_graph(np.array([]), np.array([])).vertex_count == 0
+    g = bc.build_graph(np.array([0, 1], np.uint8), np.array([[0, 1]], np.int32))
+    assert g.vertex_colors.tolist() == [0, 1] and g.edges == ((0, 1),)
 
 
 def test_build_rejects_names_no_text_format_can_carry():
@@ -175,8 +193,9 @@ def test_cycle_from_vertices_names_the_missing_edge():
 
 @st.composite
 def multigraphs(draw):
-    """Uncolored multigraphs of up to 30 vertices: self-loops, parallel
-    edges and isolated vertices all occur."""
+    """Multigraphs of up to 30 vertices and up to 4 colors: self-loops,
+    parallel edges and isolated vertices all occur.  Vertex v is named
+    ``v<n-1-v>``, so a message that names a vertex by its id shows."""
     n = draw(st.integers(0, 30))
     if n == 0:
         return bc.build_graph([], [])
@@ -186,7 +205,9 @@ def multigraphs(draw):
     if edges:
         edges += draw(st.lists(st.sampled_from(edges), max_size=n))  # parallel copies
         edges = draw(st.permutations(edges))
-    return bc.build_graph([0] * n, edges)
+    k = draw(st.integers(1, min(n, 4)))
+    colors = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    return bc.build_graph(colors, edges, vertex_names=[f"v{n - 1 - v}" for v in range(n)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,6 +233,121 @@ def test_array_core_matches_a_plain_python_reference(g):
         assert columns == sorted(columns)
 
 
+def reference_validate(g, s):
+    """Cycle-set validation walking ``g.edges`` one edge at a time: the
+    checks validate_cycle_set makes from one gather, kept as its reference."""
+    edges, names = g.edges, g.vertex_names
+    seen = set()
+    for cycle in s.cycles:
+        for eid in cycle.edge_ids:
+            if not (0 <= eid < len(edges)):
+                raise bc.NonexistentEdge(f"edge id {eid} not in graph")
+        vertices = tuple(edges[eid][0] for eid in cycle.edge_ids)
+        for eid, next_eid in zip(cycle.edge_ids, cycle.edge_ids[1:] + cycle.edge_ids[:1]):
+            if edges[eid][1] != edges[next_eid][0]:
+                raise bc.BrokenChain(
+                    f"edge {eid} ends at {names[edges[eid][1]]} but edge "
+                    f"{next_eid} starts at {names[edges[next_eid][0]]}"
+                )
+        if len(set(vertices)) != len(vertices):
+            shown = " ".join(names[v] for v in vertices)
+            raise bc.RepeatedVertexInCycle(f"cycle {shown} is not simple")
+        overlap = seen.intersection(vertices)
+        if overlap:
+            raise bc.OverlapBetweenCycles(f"vertex {names[min(overlap)]} is in two cycles")
+        seen.update(vertices)
+    return bc.SolutionMetrics(len(seen), len({g.vertex_colors[v] for v in seen}))
+
+
+def reference_canonical(g, s):
+    """Each cycle rotated to its smallest vertex, cycles sorted by it, by
+    walking ``g.edges``."""
+    rotated = []
+    for c in s.cycles:
+        vertices = [g.edges[eid][0] for eid in c.edge_ids]
+        pivot = vertices.index(min(vertices))
+        rotated.append(bc.Cycle(c.edge_ids[pivot:] + c.edge_ids[:pivot]))
+    rotated.sort(key=lambda c: g.edges[c.edge_ids[0]][0])
+    return bc.CycleSet(tuple(rotated))
+
+
+def _outcome(check, g, s):
+    try:
+        return check(g, s)
+    except bc.CycleSetError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def cycle_sets(draw, g):
+    """Valid cycle sets of ``g`` (a subset of a maximum clearing, each cycle
+    rotated, on random parallel edges, in random order), and corrupted ones:
+    ids out of range, broken chains, repeated vertices and overlaps, at
+    times two faults in different cycles."""
+    parallel: dict[tuple[int, int], list[int]] = {}
+    for eid, pair in enumerate(g.edges):
+        parallel.setdefault(pair, []).append(eid)
+    cycles = []
+    for c in bc.solve_max_size(g).cycles:
+        if draw(st.booleans()):
+            ids = [draw(st.sampled_from(parallel[g.edges[eid]])) for eid in c.edge_ids]
+            turn = draw(st.integers(0, len(ids) - 1))
+            cycles.append(ids[turn:] + ids[:turn])
+    cycles = draw(st.permutations(cycles))
+    m = g.edge_count
+    for _ in range(draw(st.integers(0, 2))):
+        if not cycles:
+            break
+        i = draw(st.integers(0, len(cycles) - 1))
+        c = cycles[i]
+        fault = draw(st.sampled_from(["negative", "too large", "any edge", "twice round",
+                                      "copy", "swap"]))
+        if fault == "negative":
+            c[draw(st.integers(0, len(c) - 1))] = draw(st.integers(-3, -1))
+        elif fault == "too large":
+            c[draw(st.integers(0, len(c) - 1))] = m + draw(st.integers(0, 2))
+        elif fault == "any edge" and m:
+            c[draw(st.integers(0, len(c) - 1))] = draw(st.integers(0, m - 1))
+        elif fault == "twice round":
+            cycles[i] = c + c
+        elif fault == "copy":
+            cycles.insert(draw(st.integers(0, len(cycles))), list(c))
+        elif fault == "swap" and len(c) >= 3:
+            cycles[i] = [c[1], c[0], *c[2:]]
+    return bc.CycleSet(tuple(bc.Cycle(tuple(c)) for c in cycles))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), g=multigraphs())
+def test_validation_and_canonical_forms_match_an_edge_walk(data, g):
+    s = data.draw(cycle_sets(g))
+    expected = _outcome(reference_validate, g, s)
+    assert _outcome(bc.validate_cycle_set, g, s) == expected
+    if isinstance(expected, bc.SolutionMetrics):
+        canon = reference_canonical(g, s)
+        assert bc.canonical_cycle_set(g, s) == canon
+        assert bc.solution_cycles(g, s) == tuple(
+            tuple(g.vertex_names[g.edges[eid][0]] for eid in c.edge_ids) for c in canon.cycles)
+        assert bc.canonical_cycle_vertices(g, s) == tuple(
+            tuple(g.edges[eid][0] for eid in c.edge_ids) for c in canon.cycles)
+
+
+def test_validation_names_the_first_faulty_cycle():
+    # a fault of an earlier cycle comes first; within one cycle a nonexistent
+    # edge comes before a broken chain, and a repeated vertex before an overlap
+    g = bc.parse_graph("V a red\nV b red\nV c red\nE a b\nE b a\nE c c\nE b c\n")
+    for cycles, error, message in (
+        (((0, 3), (9,)), bc.BrokenChain, "edge 3 ends at c but edge 0 starts at a"),
+        (((2,), (0, 9)), bc.NonexistentEdge, "edge id 9 not in graph"),
+        (((0, 1), (2,), (-1,)), bc.NonexistentEdge, "edge id -1 not in graph"),
+        (((0, 1, 0, 1), (1, 0)), bc.RepeatedVertexInCycle, "cycle a b a b is not simple"),
+        (((2,), (1, 0), (0, 1)), bc.OverlapBetweenCycles, "vertex a is in two cycles"),
+        (((1, 0), (0, 1, 0, 1)), bc.RepeatedVertexInCycle, "cycle a b a b is not simple"),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            bc.validate_cycle_set(g, bc.CycleSet(tuple(map(bc.Cycle, cycles))))
+
+
 def test_successor_cycles_are_canonical():
     # 4 -> 0 -> 2 -> 4 is rooted at 0; 3 trades along its self-loop; 1 keeps
     assert bc.successor_cycles([2, -1, 4, 3, 0]) == ((0, 2, 4), (3,))
@@ -219,6 +355,9 @@ def test_successor_cycles_are_canonical():
     s = bc.cycle_set_from_successors(g, [2, -1, 4, 3, 0])
     assert s == bc.CycleSet((bc.Cycle((2, 3, 0)), bc.Cycle((1,))))
     assert bc.canonical_cycle_set(g, s) == s
+    # of two missing edges, the first in cycle order is named: 2 -> 1, not 1 -> 0
+    with pytest.raises(bc.NonexistentEdge, match="^no edge 2 -> 1$"):
+        bc.cycle_set_from_successors(bc.build_graph([0] * 3, [(0, 2)]), [2, 0, 1])
 
 
 def test_without_self_loops():
