@@ -58,11 +58,8 @@ from .graph import (
     RepeatedVertexInCycle,
     SolutionMetrics,
     build_graph,
-    canonical_cycle,
     canonical_cycle_set,
     canonical_cycle_vertices,
-    cycle_from_vertices,
-    cycle_set_from_successors,
     cycle_set_from_vertices,
     cycle_vertices,
     is_tropical,

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .graph import ColoredDigraph, CycleSet, cycle_set_from_successors
+from .graph import ColoredDigraph, CycleSet, cycle_set_from_vertices, successor_cycles
 
 EDGE_COST = 1
 KEEP_COST = 2
@@ -58,4 +58,4 @@ def max_size_successors(g: ColoredDigraph) -> list[int]:
 def solve_max_size(g: ColoredDigraph) -> CycleSet:
     """A vertex-disjoint cycle set covering the maximum number of vertices,
     in canonical form."""
-    return cycle_set_from_successors(g, max_size_successors(g))
+    return cycle_set_from_vertices(g, successor_cycles(max_size_successors(g)))

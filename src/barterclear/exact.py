@@ -31,7 +31,6 @@ from .assignment import max_size_successors, solve_max_size
 from .graph import (
     ColoredDigraph,
     CycleSet,
-    cycle_set_from_successors,
     cycle_set_from_vertices,
     successor_cycles,
 )
@@ -67,8 +66,17 @@ class TooLarge(ValueError):
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """The node and time (seconds) limits of one search; ``inf`` means no
+    time limit.  Raises ValueError on a negative limit or a NaN time."""
+
     node_limit: int = 10_000_000
     time_limit: float = 60.0
+
+    def __post_init__(self) -> None:
+        if self.node_limit < 0:
+            raise ValueError(f"node limit must not be negative, got {self.node_limit}")
+        if not self.time_limit >= 0:  # NaN compares false
+            raise ValueError(f"time limit must not be negative or NaN, got {self.time_limit}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -236,21 +244,18 @@ def brute_force_best(g: ColoredDigraph, objective: Objective) -> CycleSet:
     v_cnt = 0
     covered = 0
     best_key: tuple | None = None
-    best_choice: list[int] | None = None
     best_canon: tuple | None = None
 
     def rec(i: int, in_mask: int, used_mask: int) -> None:
-        nonlocal v_cnt, covered, best_key, best_choice, best_canon
+        nonlocal v_cnt, covered, best_key, best_canon
         if i == n:
             key = key_of(v_cnt, covered)
             if best_key is None or key > best_key:
                 best_key = key
-                best_choice = choice.copy()
                 best_canon = successor_cycles(choice)
             elif key == best_key:
                 canon = successor_cycles(choice)
                 if canon < best_canon:
-                    best_choice = choice.copy()
                     best_canon = canon
             return
         c = colors[i]
@@ -277,5 +282,5 @@ def brute_force_best(g: ColoredDigraph, objective: Objective) -> CycleSet:
             rec(i + 1, in_mask, used_mask)
 
     rec(0, 0, 0)
-    assert best_choice is not None
-    return cycle_set_from_successors(g, best_choice)
+    assert best_canon is not None
+    return cycle_set_from_vertices(g, best_canon)

@@ -20,6 +20,7 @@ time.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable
@@ -31,7 +32,7 @@ from .graph import (
     CycleSet,
     build_graph,
     canonical_cycle_vertices,
-    cycle_from_vertices,
+    cycle_set_from_vertices,
     NonexistentEdge,
 )
 from .sat import CnfInstance, EmptyClause, LiteralOutOfRange
@@ -211,21 +212,25 @@ def parse_solution(text: str, g: ColoredDigraph) -> CycleSet:
     """Parse ``C v1 v2 ... vk`` records against a graph and its vertex names.
 
     Unknown vertex names and missing edges are parse errors; validity of the
-    resulting set (disjointness etc.) is the caller's concern.
+    resulting set (disjointness etc.) is the caller's concern.  All records
+    are looked up at once; only when that fails does a record-at-a-time
+    walk find the first error in file order.
     """
     index = {name: v for v, name in enumerate(g.vertex_names)}
-    cycles = []
+    try:
+        return cycle_set_from_vertices(
+            g, [[index[token] for token in cycle] for _, cycle in _cycle_records(text)])
+    except (ParseError, KeyError, NonexistentEdge):
+        pass
     for lineno, cycle in _cycle_records(text):
-        vertices = []
-        for token in cycle:
-            if token not in index:
-                raise ParseError(f"unknown vertex {token!r}", lineno)
-            vertices.append(index[token])
+        unknown = [token for token in cycle if token not in index]
+        if unknown:
+            raise ParseError(f"unknown vertex {unknown[0]!r}", lineno)
         try:
-            cycles.append(cycle_from_vertices(g, vertices))
+            cycle_set_from_vertices(g, [[index[token] for token in cycle]])
         except NonexistentEdge as exc:
             raise ParseError(str(exc), lineno) from exc
-    return CycleSet(tuple(cycles))
+    raise AssertionError("the solution file has no error")
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +312,15 @@ def parse_dimacs(text: str) -> CnfInstance:
                 raise ParseError("duplicate 'p cnf' header", lineno)
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ParseError("expected 'p cnf <vars> <clauses>'", lineno)
-            try:
-                num_vars, num_clauses = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise ParseError("non-integer header counts", lineno) from None
+            num_vars = _parse_int(tokens[2], lineno, "non-integer header counts")
+            num_clauses = _parse_int(tokens[3], lineno, "non-integer header counts")
             if num_vars < 0 or num_clauses < 0:
                 raise ParseError("negative header counts", lineno)
             continue
         if num_vars is None:
             raise ParseError("clause before 'p cnf' header", lineno)
         for token in tokens:
-            try:
-                lit = int(token)
-            except ValueError:
-                raise ParseError(f"not a literal: {token!r}", lineno) from None
+            lit = _parse_int(token, lineno, "not a literal: {!r}")
             if lit == 0:
                 if not current:
                     raise EmptyClause(f"line {lineno}: empty clause")
@@ -482,11 +482,19 @@ def parse_gadget_map(text: str) -> GadgetMap:
     )
 
 
-def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", lineno) from None
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(token: str, lineno: int, error: str = "expected an integer, got {!r}") -> int:
+    """The integer a token spells as an optional sign and ASCII digits, or a
+    ParseError with ``error`` formatted with the token; ``int`` alone would
+    also read ``1_0`` and non-ASCII digits."""
+    if _INTEGER.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int converts
+            pass
+    raise ParseError(error.format(token), lineno)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ why cycles are stored as sequences of edge ids rather than vertex ids.
 A graph stores its vertex colors and edge endpoints as read-only int
 arrays, and derives one cached CSR view of its distinct edges, each with
 its lowest edge id; successor lists, edge-id lookups and the assignment
-cost matrix all come from that view.  Validation and canonical forms read
+cost matrix all come from that view; ``cycle_set_from_vertices`` alone
+turns vertices into edge ids, one lookup per cycle set, for the solvers
+and the solution files.  Validation and canonical forms read
 the endpoints of all of a cycle set's edges with one gather from the
 ``tails`` and ``heads`` arrays, and check the cycles on those lists; the
 per-edge tuple ``g.edges`` is left to code that walks a whole graph.  All
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -189,11 +191,6 @@ class ColoredDigraph:
         indptr = self.csr.indptr.tolist()
         indices = self.csr.indices.tolist()
         return tuple(tuple(indices[a:b]) for a, b in zip(indptr, indptr[1:]))
-
-    def edge_id_between(self, tail: int, head: int) -> int | None:
-        """Lowest edge id from ``tail`` to ``head``, or None if no such edge."""
-        eid = int(_lowest_edge_ids(self, [tail], [head])[0])
-        return None if eid < 0 else eid
 
 
 def _lowest_edge_ids(g: ColoredDigraph, tails: Sequence[int], heads: Sequence[int]) -> np.ndarray:
@@ -360,11 +357,6 @@ def _rotations(g: ColoredDigraph, s: CycleSet) -> list[tuple[Cycle, int, list[in
     return out
 
 
-def canonical_cycle(g: ColoredDigraph, cycle: Cycle) -> Cycle:
-    """Rotate the cycle so its smallest vertex id comes first."""
-    return canonical_cycle_set(g, CycleSet((cycle,))).cycles[0]
-
-
 def canonical_cycle_set(g: ColoredDigraph, s: CycleSet) -> CycleSet:
     """Canonical form: each cycle rotated to its smallest vertex, cycles sorted by it."""
     return CycleSet(tuple([Cycle(c.edge_ids[p:] + c.edge_ids[:p]) for c, p, _ in _rotations(g, s)]))
@@ -388,17 +380,12 @@ def cycle_set_from_vertices(g: ColoredDigraph, cycles: Sequence[Sequence[int]]) 
     if -1 in edge_ids:
         u, v = next((u, v) for u, v, eid in zip(tails, heads, edge_ids) if eid < 0)
         raise NonexistentEdge(f"no edge {_vertex_name(g, u)} -> {_vertex_name(g, v)}")
-    it = iter(edge_ids)
-    return CycleSet(tuple(Cycle(tuple(islice(it, len(c)))) for c in cycles))
+    ends = list(accumulate(map(len, cycles)))
+    return CycleSet(tuple([Cycle(tuple(edge_ids[a:b])) for a, b in zip([0] + ends, ends)]))
 
 
 def _vertex_name(g: ColoredDigraph, v: int) -> str:
     return g.vertex_names[v] if 0 <= v < g.vertex_count else str(v)
-
-
-def cycle_from_vertices(g: ColoredDigraph, vertices: Sequence[int]) -> Cycle:
-    """Build the cycle v1 -> v2 -> ... -> vk -> v1 (see ``cycle_set_from_vertices``)."""
-    return cycle_set_from_vertices(g, [vertices]).cycles[0]
 
 
 def successor_cycles(successor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -423,20 +410,6 @@ def successor_cycles(successor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             u = successor[u]
         out.append(tuple(cyc))
     return tuple(out)
-
-
-def cycle_set_from_successors(g: ColoredDigraph, successor: Sequence[int]) -> CycleSet:
-    """The canonical cycle set of a successor configuration of ``g``
-    (see ``successor_cycles``), from one edge-id lookup of every pair
-    ``(u, successor[u])``; parallel edges resolve to the lowest edge id.
-    Raises NonexistentEdge naming the first missing edge in cycle order."""
-    edge_of = _lowest_edge_ids(g, np.arange(len(successor)), successor).tolist()
-    cycles = successor_cycles(successor)
-    edge_ids = [tuple([edge_of[u] for u in c]) for c in cycles]
-    if any(-1 in ids for ids in edge_ids):
-        u = next(u for c in cycles for u in c if edge_of[u] < 0)
-        raise NonexistentEdge(f"no edge {_vertex_name(g, u)} -> {_vertex_name(g, successor[u])}")
-    return CycleSet(tuple([Cycle(ids) for ids in edge_ids]))
 
 
 def without_self_loops(g: ColoredDigraph) -> ColoredDigraph:

@@ -33,7 +33,6 @@ from .graph import (
     CycleSet,
     CycleSetError,
     build_graph,
-    canonical_cycle,
     canonical_cycle_set,
     cycle_vertices,
     validate_cycle_set,
@@ -209,12 +208,14 @@ def gadget_map(art: ReductionArtifact) -> GadgetMap:
     )
 
 
-def _canonical_cycles(art: ReductionArtifact, s: CycleSet) -> set[Cycle]:
+def _edge_sets(art: ReductionArtifact, s: CycleSet) -> set[frozenset[int]]:
+    """The edge-id set of each cycle of ``s``, once ``s`` is valid: a simple
+    cycle is fixed by its edges, whichever vertex it is written from."""
     try:
         validate_cycle_set(art.graph, s)
     except CycleSetError as exc:
         raise InvalidSolution(str(exc)) from exc
-    return {canonical_cycle(art.graph, c) for c in s.cycles}
+    return {frozenset(c.edge_ids) for c in s.cycles}
 
 
 def assignment_from_loops(
@@ -230,14 +231,13 @@ def assignment_from_loops(
 def extract_assignment(art: ReductionArtifact, s: CycleSet) -> dict[int, bool]:
     """Read a truth assignment off a cycle set of the gadget graph.
 
-    Loops are compared as canonical cycles, by edge id, so the two parallel
-    self-loops of a variable in no clause stay apart.
+    Loops are compared by their sets of edge ids, so a loop written from
+    any of its vertices is found, and the two parallel self-loops of a
+    variable in no clause stay apart.
     """
-    chosen = _canonical_cycles(art, s)
-    g = art.graph
-    loops = [(canonical_cycle(g, t), canonical_cycle(g, f))
+    loops = [(frozenset(t.edge_ids), frozenset(f.edge_ids))
              for t, f in zip(art.true_loops, art.false_loops)]
-    return assignment_from_loops(loops, chosen)
+    return assignment_from_loops(loops, _edge_sets(art, s))
 
 
 def clause_colors_covered(art: ReductionArtifact, s: CycleSet) -> int:
@@ -247,7 +247,7 @@ def clause_colors_covered(art: ReductionArtifact, s: CycleSet) -> int:
     certifies a literal vertex on a chosen loop, so the pulled-back
     assignment satisfies at least this many clauses.
     """
-    _canonical_cycles(art, s)  # validity check
+    _edge_sets(art, s)  # validity check
     covered = {
         art.graph.vertex_colors[v]
         for c in s.cycles

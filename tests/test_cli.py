@@ -288,6 +288,17 @@ def test_budget_exceeded_exit_code(conflict_file, tmp_path, capsys):
     assert "node limit" in capsys.readouterr().err
 
 
+def test_budget_limits_that_cannot_hold_are_input_errors(conflict_file, tmp_path, capsys):
+    solution = tmp_path / "out.sol"
+    for flag, value in (("--budget-nodes", "-5"), ("--budget-secs", "nan"),
+                        ("--budget-secs", "-1")):
+        assert main(["clear", "--input", str(conflict_file), "--objective", "tex",
+                     flag, value, "--output", str(solution)]) == 2
+        assert "limit must not be negative" in capsys.readouterr().err
+    assert main(["clear", "--input", str(conflict_file), "--objective", "tex",
+                 "--budget-secs", "inf", "--output", str(solution)]) == 0
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.graph"
     solution = tmp_path / "out.sol"

@@ -117,6 +117,15 @@ def test_time_budget_exceeded():
         bc.solve_tex(g, bc.SearchBudget(time_limit=0.0))
 
 
+def test_budget_rejects_limits_it_cannot_keep():
+    for limits in ({"node_limit": -5}, {"time_limit": -1.0}, {"time_limit": float("nan")}):
+        with pytest.raises(ValueError, match="limit must not be negative"):
+            bc.SearchBudget(**limits)
+    bc.SearchBudget(node_limit=0, time_limit=0.0)
+    assert bc.solve_tex(bc.build_graph([0], []), bc.SearchBudget(time_limit=float("inf"))) == (
+        bc.EMPTY_CYCLE_SET)
+
+
 def test_determinism(g_tie):
     twin = bc.build_graph([0, 0, 1], [(0, 1), (1, 0), (0, 2), (2, 0)], ["red", "blue"])
     for solve in (bc.solve_tex, bc.solve_tmaxex, bc.solve_maxtex):

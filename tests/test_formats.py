@@ -184,6 +184,17 @@ def test_solution_parse_errors_carry_line_numbers(g_pair):
         bc.parse_solution("\nC 1\n", g_pair)
 
 
+def test_solution_parse_errors_name_the_first_faulty_record(g_conflict):
+    # the records are looked up together; the error still names its line
+    with pytest.raises(bc.ParseError, match="^line 3: no edge 1 -> 0$"):
+        bc.parse_solution("C 0 3\n\nC 1 0\n", g_conflict)
+    # a missing edge comes before a malformed or unknown record further on
+    with pytest.raises(bc.ParseError, match="^line 1: no edge 0 -> 0$"):
+        bc.parse_solution("C 0\nC 9\nX\n", g_conflict)
+    with pytest.raises(bc.ParseError, match="^line 2: unknown vertex '9'$"):
+        bc.parse_solution("C 3 0\nC 9 8 0\nC 0 0\n", g_conflict)
+
+
 def test_wantlist_pair_up_to_relabeling(g_pair):
     g = bc.parse_wantlist("alice a1 : b1\nbob b1 : a1\n")
     assert g.vertex_names == ("a1", "b1")
@@ -257,6 +268,27 @@ def test_dimacs_structural_errors():
         bc.parse_dimacs("p cnf 1 1\n1\n")
     with pytest.raises(bc.ParseError, match="declares"):
         bc.parse_dimacs("p cnf 1 2\n1 0\n")
+
+
+def test_dimacs_and_gadget_map_integers_are_a_sign_and_ascii_digits():
+    assert bc.parse_dimacs("p cnf +2 2\n+1 -2 0\n2 -0\n") == CNF_A
+    for text, message in (
+        ("p cnf 12 1\n1_0 -2 0\n", "line 2: not a literal: '1_0'"),
+        ("p cnf 2 1\n\u0661 0\n", "line 2: not a literal: '\u0661'"),
+        ("p cnf 1_0 1\n1 0\n", "line 1: non-integer header counts"),
+        ("p cnf 1 \uff11\n1 0\n", "line 1: non-integer header counts"),
+    ):
+        with pytest.raises(bc.ParseError) as info:
+            bc.parse_dimacs(text)
+        assert str(info.value) == message
+    for text, message in (
+        ("VAR 1_0 TRUE a\n", "line 1: expected an integer, got '1_0'"),
+        ("CLAUSE 1 \u0661\n", "line 1: expected an integer, got '\u0661'"),
+        ("CLAUSECOLOR 1 c1\nCLAUSECOLOR 0_1 c2\n", "line 2: expected an integer, got '0_1'"),
+    ):
+        with pytest.raises(bc.ParseError) as info:
+            bc.parse_gadget_map(text)
+        assert str(info.value) == message
 
 
 def test_dimacs_satlib_percent_trailer_ends_the_formula():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import barterclear as bc
 from barterclear.assignment import EDGE_COST, KEEP_COST, assignment_costs
+from barterclear.graph import _lowest_edge_ids
 from conftest import small_graphs
 
 
@@ -163,9 +164,9 @@ def test_is_tropical(g_pair, g_conflict):
     assert bc.is_tropical(g_conflict, bc.CycleSet((bc.Cycle((3, 4)),)))
 
 
-def test_canonical_cycle_rotates_to_smallest_vertex(g_conflict):
-    rotated = bc.Cycle((1, 2, 0))  # b->c, c->a, a->b
-    canon = bc.canonical_cycle(g_conflict, rotated)
+def test_canonical_cycle_set_rotates_to_smallest_vertex(g_conflict):
+    rotated = bc.CycleSet((bc.Cycle((1, 2, 0)),))  # b->c, c->a, a->b
+    (canon,) = bc.canonical_cycle_set(g_conflict, rotated).cycles
     assert bc.cycle_vertices(g_conflict, canon) == (0, 1, 2)
 
 
@@ -177,18 +178,17 @@ def test_canonical_cycle_set_sorts_by_leading_vertex():
     assert leads == [0, 2]
 
 
-def test_cycle_from_vertices_prefers_lowest_parallel_edge():
+def test_cycle_set_from_vertices_prefers_lowest_parallel_edge():
     g = bc.build_graph([0, 0], [(0, 1), (0, 1), (1, 0)])
-    c = bc.cycle_from_vertices(g, [0, 1])
-    assert c.edge_ids == (0, 2)
+    assert bc.cycle_set_from_vertices(g, [[0, 1]]) == bc.CycleSet((bc.Cycle((0, 2)),))
 
 
-def test_cycle_from_vertices_names_the_missing_edge():
+def test_cycle_set_from_vertices_names_the_missing_edge():
     g = bc.parse_graph("V a red\nV b red\nV c red\nE a b\nE b c\n")
     with pytest.raises(bc.NonexistentEdge, match="^no edge c -> a$"):
-        bc.cycle_from_vertices(g, [0, 1, 2])
+        bc.cycle_set_from_vertices(g, [[0, 1, 2]])
     with pytest.raises(bc.NonexistentEdge, match="^no edge a -> 7$"):
-        bc.cycle_from_vertices(g, [0, 7])
+        bc.cycle_set_from_vertices(g, [[0, 7]])
 
 
 @st.composite
@@ -219,9 +219,27 @@ def test_array_core_matches_a_plain_python_reference(g):
         first.setdefault(pair, eid)
     successors = [sorted({v for u, v in first if u == w}) for w in range(n)]
     assert g.out_neighbors == tuple(map(tuple, successors))
+    # every pair, out-of-range ids included: the lowest edge id, or -1
+    pairs = [(u, v) for u in range(-1, n + 1) for v in range(-1, n + 1)]
+    us, vs = zip(*pairs)
+    assert _lowest_edge_ids(g, us, vs).tolist() == [first.get(pair, -1) for pair in pairs]
+    # and through its one caller, on the walk u -> v -> u or the self-loop
+    # u -> u: the cycle's edge ids, or the first missing edge named
+    names = {w: g.vertex_names[w] if 0 <= w < n else str(w) for w in range(-1, n + 1)}
     for u in range(-1, n + 1):
         for v in range(-1, n + 1):
-            assert g.edge_id_between(u, v) == first.get((u, v))
+            walk = [u, v] if u != v else [u]
+            pairs = list(zip(walk, walk[1:] + walk[:1]))
+            missing = [pair for pair in pairs if pair not in first]
+            try:
+                got = bc.cycle_set_from_vertices(g, [walk])
+            except bc.NonexistentEdge as exc:
+                got = str(exc)
+            if missing:
+                a, b = missing[0]
+                assert got == f"no edge {names[a]} -> {names[b]}"
+            else:
+                assert got == bc.CycleSet((bc.Cycle(tuple(first[pair] for pair in pairs)),))
     costs = assignment_costs(g)
     expected = {pair: EDGE_COST for pair in first}
     expected.update({(u, u): KEEP_COST for u in range(n) if (u, u) not in first})
@@ -352,12 +370,13 @@ def test_successor_cycles_are_canonical():
     # 4 -> 0 -> 2 -> 4 is rooted at 0; 3 trades along its self-loop; 1 keeps
     assert bc.successor_cycles([2, -1, 4, 3, 0]) == ((0, 2, 4), (3,))
     g = bc.build_graph([0] * 5, [(4, 0), (3, 3), (0, 2), (2, 4), (0, 2)])
-    s = bc.cycle_set_from_successors(g, [2, -1, 4, 3, 0])
+    s = bc.cycle_set_from_vertices(g, bc.successor_cycles([2, -1, 4, 3, 0]))
     assert s == bc.CycleSet((bc.Cycle((2, 3, 0)), bc.Cycle((1,))))
     assert bc.canonical_cycle_set(g, s) == s
     # of two missing edges, the first in cycle order is named: 2 -> 1, not 1 -> 0
     with pytest.raises(bc.NonexistentEdge, match="^no edge 2 -> 1$"):
-        bc.cycle_set_from_successors(bc.build_graph([0] * 3, [(0, 2)]), [2, 0, 1])
+        bc.cycle_set_from_vertices(bc.build_graph([0] * 3, [(0, 2)]),
+                                   bc.successor_cycles([2, 0, 1]))
 
 
 def test_without_self_loops():

@@ -23,7 +23,7 @@ HEADS = [
      "traded-agents 1", "nodes 5", "seconds 0.5", "guarantee 1/2", "C a b", "seconds"],
 ]
 ARGS = st.sampled_from([
-    "a", "b", "d", "red", "0", "1", "2", "-1", "-2", "-0", "+1", "99", "1e3", "0x1",
+    "a", "b", "d", "red", "0", "1", "2", "-1", "-2", "-0", "+1", "99", "1e3", "0x1", "1_0",
     "nan", "inf", "#", ":", "%", "TRUE", "cnf", "é", "\x00", "\t",
 ])
 

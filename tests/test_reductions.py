@@ -179,6 +179,20 @@ def test_extract_assignment_tells_parallel_self_loops_apart():
         1: True, 2: False}
 
 
+def test_extract_assignment_finds_a_loop_written_from_any_vertex():
+    # both loops of x2 run through a literal vertex; written from it, a loop
+    # has other edge ids first but is the same cycle
+    art = bc.build_sat_graph(CNF_A)
+    for loop, value in ((art.true_loops[1], True), (art.false_loops[1], False)):
+        ids = loop.edge_ids
+        assert len(ids) > 1 and bc.cycle_vertices(art.graph, loop)[0] == art.variable_vertex[1]
+        rotated = bc.Cycle(ids[1:] + ids[:1])
+        assert bc.cycle_vertices(art.graph, rotated)[0] != art.variable_vertex[1]
+        expected = {1: True, 2: value}
+        assert bc.extract_assignment(art, bc.CycleSet((loop,))) == expected
+        assert bc.extract_assignment(art, bc.CycleSet((rotated,))) == expected
+
+
 def test_assignment_from_loops_rule():
     loops = [("t1", "f1"), ("t2", "f2"), ("t3", "f3")]
     assert bc.assignment_from_loops(loops, {"f2", "t3"}) == {1: True, 2: False, 3: True}
