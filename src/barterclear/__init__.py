@@ -35,6 +35,7 @@ from .formats import (
     parse_dimacs,
     parse_gadget_map,
     parse_graph,
+    parse_integer,
     parse_report,
     parse_solution,
     parse_wantlist,
@@ -68,13 +69,12 @@ from .graph import (
     without_self_loops,
 )
 from .reductions import (
+    GADGET_VARIANTS,
     ClauseTooLarge,
     InvalidSolution,
     LReductionCheck,
     ReductionArtifact,
-    add_balance_vertices,
     assignment_from_loops,
-    build_2pc_graph,
     build_sat_graph,
     clause_colors_covered,
     extract_assignment,

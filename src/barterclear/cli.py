@@ -29,6 +29,7 @@ from .formats import (
     parse_dimacs,
     parse_gadget_map,
     parse_graph,
+    parse_integer,
     parse_solution,
     parse_wantlist,
     serialize_cycles,
@@ -43,10 +44,9 @@ from .graph import (
     without_self_loops,
 )
 from .reductions import (
+    GADGET_VARIANTS,
     InvalidSolution,
-    add_balance_vertices,
     assignment_from_loops,
-    build_2pc_graph,
     build_sat_graph,
     gadget_map,
 )
@@ -57,6 +57,8 @@ EXIT_NO = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+_OBJECTIVES = [objective.value for objective in Objective]
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
@@ -74,7 +76,7 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_budget_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget-nodes", type=int, default=SearchBudget().node_limit)
+    sub.add_argument("--budget-nodes", type=parse_integer, default=SearchBudget().node_limit)
     sub.add_argument("--budget-secs", type=float, default=SearchBudget().time_limit)
 
 
@@ -129,13 +131,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    cnf = parse_dimacs(Path(args.cnf).read_text())
-    if args.variant == "plain":
-        art = build_sat_graph(cnf)
-    elif args.variant == "balanced":
-        art = add_balance_vertices(build_sat_graph(cnf))
-    else:
-        art = build_2pc_graph(cnf)
+    art = build_sat_graph(parse_dimacs(Path(args.cnf).read_text()), args.variant)
     Path(args.output).write_text(serialize_graph(art.graph))
     Path(args.map).write_text(serialize_gadget_map(gadget_map(art)))
     print(f"vertices {art.graph.vertex_count}")
@@ -227,13 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     clear = sub.add_parser("clear", help="solve a clearing instance")
     _add_input_options(clear)
-    clear.add_argument(
-        "--objective",
-        required=True,
-        choices=["max-size", "tex", "tmaxex", "maxtex"],
-    )
+    clear.add_argument("--objective", required=True, choices=_OBJECTIVES)
     clear.add_argument("--method", default="exact", choices=["exact", "approx"])
-    clear.add_argument("--min-vertices", type=int, default=None,
+    clear.add_argument("--min-vertices", type=parse_integer, default=None,
                        help="exit 1 unless the solution trades at least this many items")
     clear.add_argument("--no-self-trades", action="store_true",
                        help="drop self-loop edges before solving")
@@ -248,13 +240,13 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["exchange-x", "tex", "tmaxex", "maxtex-x"],
     )
-    decide.add_argument("--x", type=int, default=None, help="vertex threshold")
+    decide.add_argument("--x", type=parse_integer, default=None, help="vertex threshold")
     _add_budget_options(decide)
     decide.set_defaults(func=cmd_decide)
 
     reduce_ = sub.add_parser("reduce", help="compile a DIMACS CNF into a gadget graph")
     reduce_.add_argument("--cnf", required=True)
-    reduce_.add_argument("--variant", default="plain", choices=["plain", "balanced", "2pc"])
+    reduce_.add_argument("--variant", default="plain", choices=GADGET_VARIANTS)
     reduce_.add_argument("--output", required=True, help="graph file to write")
     reduce_.add_argument("--map", required=True, help="sidecar map file to write")
     reduce_.set_defaults(func=cmd_reduce)
@@ -268,19 +260,17 @@ def _build_parser() -> argparse.ArgumentParser:
     source = oracle.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", dest="graph_file")
     source.add_argument("--cnf")
-    oracle.add_argument(
-        "--objective", choices=["max-size", "tex", "tmaxex", "maxtex"], default=None
-    )
+    oracle.add_argument("--objective", choices=_OBJECTIVES, default=None)
     mode = oracle.add_mutually_exclusive_group()
     mode.add_argument("--sat", action="store_true")
     mode.add_argument("--maxsat", action="store_true")
     oracle.set_defaults(func=cmd_oracle)
 
     gen = sub.add_parser("gen", help="generate a seeded random market")
-    gen.add_argument("--vertices", type=int, required=True)
-    gen.add_argument("--colors", type=int, required=True)
+    gen.add_argument("--vertices", type=parse_integer, required=True)
+    gen.add_argument("--colors", type=parse_integer, required=True)
     gen.add_argument("--edge-prob", type=float, required=True)
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=parse_integer, required=True)
     gen.add_argument("--output", required=True)
     gen.set_defaults(func=cmd_gen)
 

@@ -485,7 +485,8 @@ def parse_gadget_map(text: str) -> GadgetMap:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _parse_int(token: str, lineno: int, error: str = "expected an integer, got {!r}") -> int:
+def _parse_int(token: str, lineno: int | None,
+               error: str = "expected an integer, got {!r}") -> int:
     """The integer a token spells as an optional sign and ASCII digits, or a
     ParseError with ``error`` formatted with the token; ``int`` alone would
     also read ``1_0`` and non-ASCII digits."""
@@ -495,6 +496,13 @@ def _parse_int(token: str, lineno: int, error: str = "expected an integer, got {
         except ValueError:  # more digits than int converts
             pass
     raise ParseError(error.format(token), lineno)
+
+
+def parse_integer(token: str) -> int:
+    """The text formats' integer rule for text outside a file, such as a
+    command-line option: an optional sign and ASCII digits, or a ParseError
+    (a ValueError) with no line number."""
+    return _parse_int(token, None)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +544,7 @@ def serialize_report(report: RunReport) -> str:
 
 def parse_report(text: str) -> RunReport:
     """Unknown keys, like the ``traded-agents`` line of older reports, are ignored."""
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[str, int]] = {}
     cycles: list[tuple[str, ...]] = []
     for lineno, tokens in _records(text):
         if tokens[0] == "C":
@@ -544,18 +552,28 @@ def parse_report(text: str) -> RunReport:
             continue
         if len(tokens) != 2:
             raise ParseError("expected '<key> <value>'", lineno)
-        fields[tokens[0]] = tokens[1]
-    try:
-        return RunReport(
-            objective=fields["objective"],
-            method=fields["method"],
-            vertex_count=int(fields["vertices"]),
-            color_count=int(fields["colors"]),
-            total_colors=int(fields["total-colors"]),
-            nodes=int(fields["nodes"]),
-            seconds=float(fields["seconds"]),
-            guarantee=fields.get("guarantee", ""),
-            cycles=tuple(cycles),
-        )
-    except KeyError as exc:
-        raise ParseError(f"missing report field {exc.args[0]!r}") from None
+        fields[tokens[0]] = (tokens[1], lineno)
+
+    def field(key: str) -> tuple[str, int]:
+        if key not in fields:
+            raise ParseError(f"missing report field {key!r}")
+        return fields[key]
+
+    def seconds() -> float:
+        token, lineno = field("seconds")
+        try:
+            return float(token)
+        except ValueError:
+            raise ParseError(f"expected a number of seconds, got {token!r}", lineno) from None
+
+    return RunReport(
+        objective=field("objective")[0],
+        method=field("method")[0],
+        vertex_count=_parse_int(*field("vertices")),
+        color_count=_parse_int(*field("colors")),
+        total_colors=_parse_int(*field("total-colors")),
+        nodes=_parse_int(*field("nodes")),
+        seconds=seconds(),
+        guarantee=fields.get("guarantee", ("",))[0],
+        cycles=tuple(cycles),
+    )

@@ -9,16 +9,17 @@ vertex-disjoint cycles picks at most one of them: the pick is the variable's
 truth value, and a clause color appears in the cycles exactly when some pick
 satisfies the clause.
 
-Three gadget flavors are built here:
+``build_sat_graph(cnf, variant)`` builds one of three gadget variants, named
+in ``GADGET_VARIANTS``:
 
-* plain        - variable vertices share one color; colors = clauses + 1.
-* balanced     - padding vertices of one fresh "balance" color stretch every
-                 loop to the same length, so vertex-maximality can no longer
-                 discriminate between truth assignments.
-* two-per-color - variable vertices get unique colors, every balance vertex
-                 gets its own fresh color, and one extra cycle carries a
-                 twin vertex of each balance color; no color appears on more
-                 than two vertices.
+* plain    - variable vertices share one color; colors = clauses + 1.
+* balanced - padding vertices of one fresh "balance" color stretch every
+             loop to the same length, so vertex-maximality can no longer
+             discriminate between truth assignments.
+* 2pc      - two per color: variable vertices get unique colors, every
+             balance vertex gets its own fresh color, and one extra cycle
+             carries a twin vertex of each balance color; no color appears
+             on more than two vertices (agents bring at most two items).
 """
 
 from __future__ import annotations
@@ -81,18 +82,33 @@ def _add_loop(edges: list[tuple[int, int]], start: int, chain: list[int]) -> Cyc
     return Cycle(tuple(range(first, len(edges))))
 
 
-def _build_gadget(cnf: CnfInstance, variant: str) -> ReductionArtifact:
-    """Lay out the ``plain``, ``balanced`` or ``2pc`` gadget of ``cnf`` and
-    build its graph.
+GADGET_VARIANTS = ("plain", "balanced", "2pc")
+
+
+def build_sat_graph(cnf: CnfInstance, variant: str = "plain") -> ReductionArtifact:
+    """The ``variant`` gadget of ``cnf``, one of ``GADGET_VARIANTS``.
+
+    The plain gadget has num_vars + total (deduplicated) literals vertices
+    and num_clauses + 1 colors, and a cycle set covering every color exists
+    iff the formula is satisfiable.  ``2pc`` requires clauses of at most 2
+    literals (else ``ClauseTooLarge``); its extra cycle makes every balance
+    color coverable without touching any loop choice.
 
     Vertex ids run over the variables, the literals in clause order, the
     balance vertices in loop order and the ``2pc`` twins; edge ids run over
     the loops (x1 TRUE, x1 FALSE, x2 TRUE, ...) and then the twin cycle.
     """
+    if variant not in GADGET_VARIANTS:
+        raise ValueError(f"unknown gadget variant {variant!r} "
+                         f"(expected one of {', '.join(GADGET_VARIANTS)})")
+    two_per_color = variant == "2pc"
+    if two_per_color:
+        for j, clause in enumerate(cnf.clauses):
+            if len(clause) > 2:
+                raise ClauseTooLarge(f"clause {j + 1} has {len(clause)} literals (max 2)")
     n = cnf.num_vars
     if n == 0:
         return ReductionArtifact(build_graph([], []), cnf, (), (), (), ())
-    two_per_color = variant == "2pc"
     if two_per_color:
         vertex_colors = list(range(n))
         labels = [f"x{i}" for i in range(1, n + 1)]
@@ -147,44 +163,6 @@ def _build_gadget(cnf: CnfInstance, variant: str) -> ReductionArtifact:
         balance_colors=frozenset(balance_colors),
         balance_cycle=balance_cycle,
     )
-
-
-def build_sat_graph(cnf: CnfInstance) -> ReductionArtifact:
-    """Plain gadget: all variable vertices share one color, one color per clause.
-
-    Total vertices = num_vars + total (deduplicated) literals; total colors
-    = num_clauses + 1.  A cycle set covering every color exists iff the
-    formula is satisfiable.
-    """
-    return _build_gadget(cnf, "plain")
-
-
-def add_balance_vertices(art: ReductionArtifact) -> ReductionArtifact:
-    """The balanced gadget of ``art``'s formula: all loops padded to equal
-    length with vertices of one fresh balance color.
-
-    Afterwards every combination of one loop per variable covers the same
-    number of vertices, so vertex-maximality no longer discriminates between
-    truth assignments, and the balance color is covered by every nonempty
-    choice of loops.
-    """
-    if art.balance_vertices or art.balance_cycle is not None:
-        raise ValueError("artifact is already balance-padded")
-    return _build_gadget(art.cnf, "balanced")
-
-
-def build_2pc_graph(cnf: CnfInstance) -> ReductionArtifact:
-    """Gadget with at most two vertices of any color (agents bring <= 2 items).
-
-    Requires clauses of at most 2 literals.  Variable vertices get unique
-    colors, every balance vertex gets its own fresh color, and one extra
-    cycle carries a twin vertex of every balance color so all balance colors
-    are guaranteed coverable without touching any loop choice.
-    """
-    for j, clause in enumerate(cnf.clauses):
-        if len(clause) > 2:
-            raise ClauseTooLarge(f"clause {j + 1} has {len(clause)} literals (max 2)")
-    return _build_gadget(cnf, "2pc")
 
 
 def gadget_map(art: ReductionArtifact) -> GadgetMap:

@@ -82,7 +82,7 @@ def test_criterion_3_reduction_soundness():
 def test_criterion_4_balanced_soundness():
     failures: list[str] = []
     for idx, cnf in enumerate(corpus_cnfs(200, seed=CNF_CORPUS_SEED)):
-        art = bc.add_balance_vertices(bc.build_sat_graph(cnf))
+        art = bc.build_sat_graph(cnf, "balanced")
         lengths = {len(c) for c in art.true_loops + art.false_loops}
         if len(lengths) != 1:
             failures.append(f"cnf {idx}: unequal loop lengths {sorted(lengths)}")
@@ -131,7 +131,7 @@ def test_criterion_6_two_per_color_identities():
     for idx, cnf in enumerate(
         corpus_cnfs(200, seed=TWOCNF_CORPUS_SEED, max_vars=5, max_clause_len=2)
     ):
-        art = bc.build_2pc_graph(cnf)
+        art = bc.build_sat_graph(cnf, "2pc")
         if max(Counter(art.graph.vertex_colors).values()) > 2:
             failures.append(f"cnf {idx}: some color has more than 2 vertices")
             continue
@@ -205,7 +205,7 @@ def test_criterion_9_formats_and_cli_decisions(tmp_path, capsys):
             [0, 0, 0, 1], [(0, 1), (1, 2), (2, 0), (0, 3), (3, 0)], ["red", "blue"]
         ),
         "gadget_a": bc.build_sat_graph(CNF_A).graph,
-        "balanced_a": bc.add_balance_vertices(bc.build_sat_graph(CNF_A)).graph,
+        "balanced_a": bc.build_sat_graph(CNF_A, "balanced").graph,
         "random": bc.gen_random(7, 3, 0.4, seed=9),
     }
     for name, g in fixtures.items():

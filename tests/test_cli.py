@@ -385,3 +385,22 @@ def test_reduce_accepts_satlib_percent_trailer(tmp_path, capsys):
                      "--map", str(gmap)]) == 0
         outputs.append((capsys.readouterr().out, graph.read_text(), gmap.read_text()))
     assert outputs[0] == outputs[1]  # the trailer changes nothing
+
+
+@pytest.mark.parametrize("argv", [
+    "gen --vertices 1_0 --colors 2 --edge-prob 0.5 --seed 1 --output out",
+    "gen --vertices 10 --colors ٢ --edge-prob 0.5 --seed 1 --output out",
+    "gen --vertices 10 --colors 2 --edge-prob 0.5 --seed 1_0 --output out",
+    "clear --input m.graph --objective tex --budget-nodes 1_000 --output out",
+    "clear --input m.graph --objective tex --min-vertices ３ --output out",
+    "decide --input m.graph --objective exchange-x --x ٣",
+])
+def test_integer_options_follow_the_format_integer_rule(argv, tmp_path, monkeypatch, capsys):
+    # argparse's type=int would read all of these
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

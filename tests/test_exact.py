@@ -62,7 +62,7 @@ def test_decide_tmaxex(g_pair, g_conflict):
     # the only vertex-maximal clearing of g_conflict misses blue
     assert bc.is_tropical(g_conflict, bc.solve_tmaxex(g_conflict)) is False
     assert bc.is_tropical(g_pair, bc.solve_tmaxex(g_pair)) is True
-    balanced = bc.add_balance_vertices(bc.build_sat_graph(CNF_A))
+    balanced = bc.build_sat_graph(CNF_A, "balanced")
     assert bc.is_tropical(balanced.graph, bc.solve_tmaxex(balanced.graph)) is True
     assert bc.is_satisfiable(CNF_A) is True
 
@@ -167,8 +167,8 @@ FAULT_CNF = bc.CnfInstance(5, (
 
 
 def test_fault_gadgets_are_cleared_tropically():
-    plain = bc.build_sat_graph(FAULT_CNF)
-    for art in (plain, bc.add_balance_vertices(plain)):
+    for variant in ("plain", "balanced"):
+        art = bc.build_sat_graph(FAULT_CNF, variant)
         s = bc.solve_tex(art.graph)
         assert bc.is_tropical(art.graph, s)
         assignment = bc.extract_assignment(art, s)

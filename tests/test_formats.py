@@ -333,7 +333,7 @@ def test_gen_random_bad_parameters():
 
 
 def test_gadget_map_round_trip():
-    art = bc.add_balance_vertices(bc.build_sat_graph(CNF_A))
+    art = bc.build_sat_graph(CNF_A, "balanced")
     gm = bc.parse_gadget_map(bc.serialize_gadget_map(bc.gadget_map(art)))
     assert gm.num_vars == 2
     assert gm.clauses == CNF_A.clauses
@@ -347,8 +347,8 @@ def test_gadget_map_round_trip():
 
 
 def test_gadget_map_serialize_parse_round_trip():
-    arts = [bc.build_sat_graph(CNF_A), bc.add_balance_vertices(bc.build_sat_graph(CNF_B)),
-            bc.build_2pc_graph(CNF_C), bc.build_sat_graph(bc.CnfInstance(0, ()))]
+    arts = [bc.build_sat_graph(CNF_A), bc.build_sat_graph(CNF_B, "balanced"),
+            bc.build_sat_graph(CNF_C, "2pc"), bc.build_sat_graph(bc.CnfInstance(0, ()))]
     for art in arts:
         gm = bc.gadget_map(art)
         assert bc.parse_gadget_map(bc.serialize_gadget_map(gm)) == gm
@@ -356,7 +356,7 @@ def test_gadget_map_serialize_parse_round_trip():
 
 
 def test_gadget_map_balance_cycle_record():
-    art = bc.build_2pc_graph(CNF_C)
+    art = bc.build_sat_graph(CNF_C, "2pc")
     gm = bc.gadget_map(art)
     assert gm.balance_cycle == tuple(str(v) for v in bc.cycle_vertices(art.graph, art.balance_cycle))
     assert "BALANCECYCLE " + " ".join(gm.balance_cycle) in bc.serialize_gadget_map(gm)
@@ -366,7 +366,7 @@ def test_gadget_map_balance_cycle_record():
 
 
 def test_gadget_map_rejects_repeated_records():
-    text = bc.serialize_gadget_map(bc.gadget_map(bc.build_2pc_graph(CNF_C)))
+    text = bc.serialize_gadget_map(bc.gadget_map(bc.build_sat_graph(CNF_C, "2pc")))
     assert "BALANCECOLOR " in text and "BALANCECYCLE " in text
     last = text.count("\n")
     for record, message in (("CLAUSE 01 1", "repeated CLAUSE 1 record"),
@@ -460,3 +460,25 @@ def test_report_parse_ignores_old_traded_agents_line():
     report = bc.parse_report(text)
     assert report == bc.RunReport("tex", "exact", 4, 2, 3, 123, 0.5, cycles=(("a", "b"),))
     assert "traded-agents" not in bc.serialize_report(report)
+
+
+@pytest.mark.parametrize("line, error", [
+    ("vertices 1_0", "line 3: expected an integer, got '1_0'"),
+    ("colors ١", "line 4: expected an integer, got '١'"),
+    ("nodes x", "line 6: expected an integer, got 'x'"),
+    ("seconds x", "line 7: expected a number of seconds, got 'x'"),
+])
+def test_report_fields_follow_the_format_number_rules(line, error):
+    report = bc.RunReport("tex", "exact", 4, 2, 3, 123, 0.5)
+    key = line.split()[0]
+    text = "".join(line + "\n" if record.split()[0] == key else record + "\n"
+                   for record in bc.serialize_report(report).splitlines())
+    with pytest.raises(bc.ParseError, match=f"^{error}$"):
+        bc.parse_report(text)
+
+
+def test_parse_integer_takes_a_sign_and_ascii_digits_only():
+    assert [bc.parse_integer(t) for t in ("0", "-12", "+7", "007")] == [0, -12, 7, 7]
+    for token in ("1_0", "١", " 1", "1.0", "", "-", "0x1f", "9" * 5000):
+        with pytest.raises(ValueError):
+            bc.parse_integer(token)

@@ -1,23 +1,19 @@
 """Golden layout of the three gadgets: vertex ids, edge ids, labels and
-map records, frozen so that a change to the builders cannot move them
-unnoticed.  Texts are written with their records joined by " | "."""
+map records, frozen so that a change to the builder or to the files that
+`reduce` writes cannot move them unnoticed.  Texts are written with their records joined by " | "."""
 
 from __future__ import annotations
 
 import pytest
 
 import barterclear as bc
+from barterclear.cli import main
 from conftest import CNF_A
 
 CNFS = {
     "CNF_A": CNF_A,
     "PARALLEL": bc.CnfInstance(2, ((1,),)),  # x2's loops are parallel self-loops
     "EMPTY": bc.CnfInstance(0, ()),
-}
-BUILDERS = {
-    "plain": bc.build_sat_graph,
-    "balanced": lambda cnf: bc.add_balance_vertices(bc.build_sat_graph(cnf)),
-    "2pc": bc.build_2pc_graph,
 }
 
 # (graph text, map text, (TRUE loop edge ids, FALSE loop edge ids, balance cycle edge ids))
@@ -132,11 +128,33 @@ def edge_ids(cycles) -> tuple[tuple[int, ...], ...]:
     return tuple(c.edge_ids for c in cycles)
 
 
+def dimacs(cnf: bc.CnfInstance) -> str:
+    lines = [f"p cnf {cnf.num_vars} {cnf.num_clauses}"]
+    lines += [" ".join(map(str, (*clause, 0))) for clause in cnf.clauses]
+    return "\n".join(lines) + "\n"
+
+
+def test_golden_covers_every_formula_and_variant():
+    assert set(GOLDEN) == {(name, variant) for name in CNFS for variant in bc.GADGET_VARIANTS}
+
+
 @pytest.mark.parametrize("cnf_name, variant", sorted(GOLDEN))
 def test_gadget_layout_is_frozen(cnf_name, variant):
-    art = BUILDERS[variant](CNFS[cnf_name])
+    art = bc.build_sat_graph(CNFS[cnf_name], variant)
     graph_text, map_text, loops = GOLDEN[cnf_name, variant]
     assert records(bc.serialize_graph(art.graph)) == graph_text
     assert records(bc.serialize_gadget_map(bc.gadget_map(art))) == map_text
     balance = art.balance_cycle.edge_ids if art.balance_cycle is not None else None
     assert (edge_ids(art.true_loops), edge_ids(art.false_loops), balance) == loops
+
+
+@pytest.mark.parametrize("cnf_name, variant", sorted(GOLDEN))
+def test_reduce_writes_the_golden_files(cnf_name, variant, tmp_path):
+    cnf, graph, gmap = tmp_path / "f.cnf", tmp_path / "g.graph", tmp_path / "g.map"
+    cnf.write_text(dimacs(CNFS[cnf_name]))
+    assert bc.parse_dimacs(cnf.read_text()) == CNFS[cnf_name]
+    assert main(["reduce", "--cnf", str(cnf), "--variant", variant,
+                 "--output", str(graph), "--map", str(gmap)]) == 0
+    graph_text, map_text, _ = GOLDEN[cnf_name, variant]
+    assert records(graph.read_text()) == graph_text
+    assert records(gmap.read_text()) == map_text

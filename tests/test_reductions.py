@@ -87,7 +87,7 @@ def test_duplicate_literals_collapse_to_one_vertex():
 
 
 def test_balance_cnf_a():
-    art = bc.add_balance_vertices(bc.build_sat_graph(CNF_A))
+    art = bc.build_sat_graph(CNF_A, "balanced")
     true_lens, false_lens = loop_lengths(art)
     assert true_lens == [3, 3] and false_lens == [3, 3]
     assert art.num_balance == 5  # 1 + 2 + 1 + 1
@@ -96,20 +96,20 @@ def test_balance_cnf_a():
 
 
 def test_balance_cnf_b():
-    art = bc.add_balance_vertices(bc.build_sat_graph(CNF_B))
+    art = bc.build_sat_graph(CNF_B, "balanced")
     assert loop_lengths(art) == ([3], [3])
     assert art.num_balance == 2
     assert art.graph.color_count == 4
 
 
 def test_balance_single_clause():
-    art = bc.add_balance_vertices(bc.build_sat_graph(SINGLE))
+    art = bc.build_sat_graph(SINGLE, "balanced")
     assert loop_lengths(art) == ([3], [3])
     assert art.num_balance == 3  # 1 + 2
 
 
 def test_balance_vertices_inserted_before_the_returning_edge():
-    art = bc.add_balance_vertices(bc.build_sat_graph(CNF_A))
+    art = bc.build_sat_graph(CNF_A, "balanced")
     g = art.graph
     for i in (1, 2):
         for loop in (art.true_loops[i - 1], art.false_loops[i - 1]):
@@ -120,14 +120,8 @@ def test_balance_vertices_inserted_before_the_returning_edge():
             assert list(vertices[len(vertices) - len(balance_part):]) == balance_part
 
 
-def test_balance_rejects_double_padding():
-    art = bc.add_balance_vertices(bc.build_sat_graph(CNF_A))
-    with pytest.raises(ValueError, match="already"):
-        bc.add_balance_vertices(art)
-
-
 def test_2pc_cnf_c():
-    art = bc.build_2pc_graph(CNF_C)
+    art = bc.build_sat_graph(CNF_C, "2pc")
     true_lens, false_lens = loop_lengths(art)
     assert true_lens == [3, 3] and false_lens == [3, 3]
     assert art.num_balance == 4
@@ -137,20 +131,27 @@ def test_2pc_cnf_c():
 
 
 def test_2pc_single_clause():
-    art = bc.build_2pc_graph(SINGLE)
+    art = bc.build_sat_graph(SINGLE, "2pc")
     assert art.num_balance == 3
     assert art.graph.color_count == 5  # 1 + 1 + 3
 
 
 def test_2pc_no_clauses():
-    art = bc.build_2pc_graph(bc.CnfInstance(1, ()))
+    art = bc.build_sat_graph(bc.CnfInstance(1, ()), "2pc")
     assert art.num_balance == 2
     assert art.graph.color_count == 3  # 1 + 0 + 2
 
 
 def test_2pc_rejects_wide_clauses():
     with pytest.raises(bc.ClauseTooLarge):
-        bc.build_2pc_graph(bc.CnfInstance(3, ((1, 2, 3),)))
+        bc.build_sat_graph(bc.CnfInstance(3, ((1, 2, 3),)), "2pc")
+
+
+def test_unknown_variant_is_rejected():
+    # no misspelling falls through to one of the gadgets
+    for variant in ("", "Balanced", "2PC", "two-per-color"):
+        with pytest.raises(ValueError, match="unknown gadget variant"):
+            bc.build_sat_graph(CNF_A, variant)
 
 
 def test_extract_assignment_direct_readout():
@@ -205,7 +206,7 @@ def test_gadget_map_pullback_matches_extract_assignment():
     # assignment extract_assignment reads off the same file by edge ids
     rng = random.Random(3)
     for cnf in corpus_cnfs(20, seed=11, max_vars=4, max_clauses=4):
-        for art in (bc.build_sat_graph(cnf), bc.add_balance_vertices(bc.build_sat_graph(cnf))):
+        for art in (bc.build_sat_graph(cnf), bc.build_sat_graph(cnf, "balanced")):
             gm = bc.gadget_map(art)
             loops = [(frozenset(gm.true_loops[i]), frozenset(gm.false_loops[i]))
                      for i in range(1, gm.num_vars + 1)]
@@ -238,7 +239,7 @@ def test_clause_colors_covered_examples():
 
 
 def test_full_selection_covers_every_variable():
-    art = bc.add_balance_vertices(bc.build_sat_graph(CNF_A))
+    art = bc.build_sat_graph(CNF_A, "balanced")
     s = bc.full_selection(art, {1: True, 2: False})
     metrics = bc.validate_cycle_set(art.graph, s)
     assert metrics.vertex_count == 2 * 3  # two loops of length 3
@@ -273,7 +274,7 @@ def test_reduction_soundness_small(cnf):
 @settings(max_examples=40, deadline=None)
 @given(cnf=cnfs(max_vars=3, max_clauses=4))
 def test_balanced_soundness_small(cnf):
-    art = bc.add_balance_vertices(bc.build_sat_graph(cnf))
+    art = bc.build_sat_graph(cnf, "balanced")
     lengths = {len(c) for c in art.true_loops + art.false_loops}
     assert len(lengths) == 1
     assert bc.is_tropical(art.graph, bc.solve_tmaxex(art.graph)) == bc.is_satisfiable(cnf)
