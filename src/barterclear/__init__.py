@@ -11,16 +11,12 @@ gadget graphs whose clearings encode truth assignments.
 from .approx import EmptyGraph, approx_jpc, per_color_bound
 from .assignment import solve_max_size
 from .exact import (
-    DEFAULT_BUDGET,
     BudgetExceeded,
     Objective,
     SearchBudget,
     SearchStats,
     TooLarge,
     brute_force_best,
-    solve_maxtex,
-    solve_tex,
-    solve_tmaxex,
     solve_with_stats,
 )
 from .formats import (
@@ -33,6 +29,7 @@ from .formats import (
     gen_random,
     parse_cycles,
     parse_dimacs,
+    parse_float,
     parse_gadget_map,
     parse_graph,
     parse_integer,
@@ -53,7 +50,6 @@ from .graph import (
     Cycle,
     CycleSet,
     CycleSetError,
-    EMPTY_CYCLE_SET,
     NonexistentEdge,
     OverlapBetweenCycles,
     RepeatedVertexInCycle,

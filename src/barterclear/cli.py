@@ -13,6 +13,7 @@ import sys
 from collections import Counter
 from functools import cache
 from pathlib import Path
+from time import monotonic
 
 from .approx import approx_jpc
 from .exact import (
@@ -27,6 +28,7 @@ from .formats import (
     gen_random,
     parse_cycles,
     parse_dimacs,
+    parse_float,
     parse_gadget_map,
     parse_graph,
     parse_integer,
@@ -77,7 +79,7 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
 
 def _add_budget_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-nodes", type=parse_integer, default=SearchBudget().node_limit)
-    sub.add_argument("--budget-secs", type=float, default=SearchBudget().time_limit)
+    sub.add_argument("--budget-secs", type=parse_float, default=SearchBudget().time_limit)
 
 
 def cmd_clear(args: argparse.Namespace) -> int:
@@ -85,8 +87,9 @@ def cmd_clear(args: argparse.Namespace) -> int:
     if args.no_self_trades:
         g = without_self_loops(g)
     if args.method == "approx":
+        t0 = monotonic()
         solution, guarantee = approx_jpc(g)
-        nodes, seconds = 0, 0.0
+        nodes, seconds = 0, monotonic() - t0
         guarantee_text = str(guarantee)
     else:
         solution, stats = solve_with_stats(g, Objective(args.objective), _budget(args))
@@ -269,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a seeded random market")
     gen.add_argument("--vertices", type=parse_integer, required=True)
     gen.add_argument("--colors", type=parse_integer, required=True)
-    gen.add_argument("--edge-prob", type=float, required=True)
+    gen.add_argument("--edge-prob", type=parse_float, required=True)
     gen.add_argument("--seed", type=parse_integer, required=True)
     gen.add_argument("--output", required=True)
     gen.set_defaults(func=cmd_gen)

@@ -12,6 +12,8 @@ lexicographic order of their canonical forms and the first optimum found is
 the least one.  The extensions from a root on are abandoned when an
 optimistic bound on them cannot beat the incumbent.
 
+``solve_with_stats(g, objective, budget)`` is the one way into the solvers,
+for all four objectives, and returns the search effort with the answer.
 ``brute_force_best`` is the independent ground-truth oracle: an enumeration
 of successor choices with no bounds at all, returning the lexicographically
 least canonical optimum.
@@ -77,9 +79,6 @@ class SearchBudget:
             raise ValueError(f"node limit must not be negative, got {self.node_limit}")
         if not self.time_limit >= 0:  # NaN compares false
             raise ValueError(f"time limit must not be negative or NaN, got {self.time_limit}")
-
-
-DEFAULT_BUDGET = SearchBudget()
 
 
 @dataclass(frozen=True)
@@ -201,26 +200,9 @@ def solve_with_stats(
         v_cap = g.vertex_count
     else:
         v_cap = sum(v >= 0 for v in max_size_successors(g))  # the vertices that trade
-    search = _CycleSearch(g, budget or DEFAULT_BUDGET, _KEYS[objective], v_cap)
+    search = _CycleSearch(g, budget or SearchBudget(), _KEYS[objective], v_cap)
     search.visit(0, 0, 0, 0)
     return cycle_set_from_vertices(g, search.best), SearchStats(search.nodes, monotonic() - t0)
-
-
-def solve_tex(g: ColoredDigraph, budget: SearchBudget | None = None) -> CycleSet:
-    """Cycle set with the globally maximum number of distinct colors."""
-    return solve_with_stats(g, Objective.MAX_COLORS, budget)[0]
-
-
-def solve_tmaxex(g: ColoredDigraph, budget: SearchBudget | None = None) -> CycleSet:
-    """Maximum colors among the cycle sets that cover the maximum number of
-    vertices (the vertex optimum is fixed first, via the assignment solver)."""
-    return solve_with_stats(g, Objective.MAX_COLORS_AMONG_MAX_VERTICES, budget)[0]
-
-
-def solve_maxtex(g: ColoredDigraph, budget: SearchBudget | None = None) -> CycleSet:
-    """Maximum vertices among the cycle sets that cover the maximum number
-    of colors (colors dominate, vertices break ties)."""
-    return solve_with_stats(g, Objective.MAX_VERTICES_AMONG_MAX_COLORS, budget)[0]
 
 
 def brute_force_best(g: ColoredDigraph, objective: Objective) -> CycleSet:

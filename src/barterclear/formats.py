@@ -505,6 +505,29 @@ def parse_integer(token: str) -> int:
     return _parse_int(token, None)
 
 
+_NOT_IN_A_FLOAT = re.compile(r"[_\s]")
+
+
+def _parse_float(token: str, lineno: int | None,
+                 error: str = "expected a number, got {!r}") -> float:
+    """The float a token spells in ASCII with no underscore or whitespace,
+    ``inf`` and ``nan`` included, or a ParseError with ``error`` formatted
+    with the token; ``float`` alone would also read ``1_0``, `` 1`` and
+    non-ASCII digits."""
+    if token.isascii() and not _NOT_IN_A_FLOAT.search(token):
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    raise ParseError(error.format(token), lineno)
+
+
+def parse_float(token: str) -> float:
+    """The text formats' float rule for text outside a file, such as a
+    command-line option, or a ParseError (a ValueError) with no line number."""
+    return _parse_float(token, None)
+
+
 # ---------------------------------------------------------------------------
 # run reports
 
@@ -559,13 +582,6 @@ def parse_report(text: str) -> RunReport:
             raise ParseError(f"missing report field {key!r}")
         return fields[key]
 
-    def seconds() -> float:
-        token, lineno = field("seconds")
-        try:
-            return float(token)
-        except ValueError:
-            raise ParseError(f"expected a number of seconds, got {token!r}", lineno) from None
-
     return RunReport(
         objective=field("objective")[0],
         method=field("method")[0],
@@ -573,7 +589,7 @@ def parse_report(text: str) -> RunReport:
         color_count=_parse_int(*field("colors")),
         total_colors=_parse_int(*field("total-colors")),
         nodes=_parse_int(*field("nodes")),
-        seconds=seconds(),
+        seconds=_parse_float(*field("seconds"), "expected a number of seconds, got {!r}"),
         guarantee=fields.get("guarantee", ("",))[0],
         cycles=tuple(cycles),
     )

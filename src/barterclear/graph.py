@@ -94,9 +94,6 @@ class CycleSet:
         return iter(self.cycles)
 
 
-EMPTY_CYCLE_SET = CycleSet()
-
-
 class CsrView(NamedTuple):
     """The distinct edges of a graph in compressed sparse row form.
 

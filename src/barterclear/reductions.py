@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Collection, Hashable, Sequence
 
-from .exact import SearchBudget, solve_tex
+from .exact import Objective, SearchBudget, solve_with_stats
 from .graph import (
     Cycle,
     ColoredDigraph,
@@ -285,7 +285,8 @@ def l_reduction_check(
 ) -> LReductionCheck:
     """Measure a candidate solution on both sides of the reduction."""
     opt_sat, _ = max_satisfiable(art.cnf)
-    opt_colors = validate_cycle_set(art.graph, solve_tex(art.graph, budget)).color_count
+    best = solve_with_stats(art.graph, Objective.MAX_COLORS, budget)[0]
+    opt_colors = validate_cycle_set(art.graph, best).color_count
     measure_colors = validate_cycle_set(art.graph, s).color_count
     measure_sat = satisfied_count(art.cnf, extract_assignment(art, s))
     return LReductionCheck(

@@ -33,17 +33,11 @@ def _metrics(g, s):
 
 
 def test_criterion_1_oracle_equivalence():
-    solvers = {
-        Objective.MAX_VERTICES: bc.solve_max_size,
-        Objective.MAX_COLORS: bc.solve_tex,
-        Objective.MAX_COLORS_AMONG_MAX_VERTICES: bc.solve_tmaxex,
-        Objective.MAX_VERTICES_AMONG_MAX_COLORS: bc.solve_maxtex,
-    }
     failures: list[str] = []
     t0 = monotonic()
     for idx, g in enumerate(corpus_graphs(200, seed=GRAPH_CORPUS_SEED)):
-        for objective, solve in solvers.items():
-            got = objective_value(objective, _metrics(g, solve(g)))
+        for objective in Objective:
+            got = objective_value(objective, _metrics(g, bc.solve_with_stats(g, objective)[0]))
             want = objective_value(objective, _metrics(g, bc.brute_force_best(g, objective)))
             if got != want:
                 failures.append(f"graph {idx} {objective.value}: {got} != {want}")
@@ -74,7 +68,8 @@ def test_criterion_3_reduction_soundness():
     failures: list[str] = []
     for idx, cnf in enumerate(corpus_cnfs(200, seed=CNF_CORPUS_SEED)):
         art = bc.build_sat_graph(cnf)
-        if bc.is_tropical(art.graph, bc.solve_tex(art.graph)) != bc.is_satisfiable(cnf):
+        tex = bc.solve_with_stats(art.graph, Objective.MAX_COLORS)[0]
+        if bc.is_tropical(art.graph, tex) != bc.is_satisfiable(cnf):
             failures.append(f"cnf {idx}: decide_tex disagrees with the SAT oracle")
     _verdict(3, "plain-gadget soundness", failures)
 
@@ -87,7 +82,8 @@ def test_criterion_4_balanced_soundness():
         if len(lengths) != 1:
             failures.append(f"cnf {idx}: unequal loop lengths {sorted(lengths)}")
             continue
-        if bc.is_tropical(art.graph, bc.solve_tmaxex(art.graph)) != bc.is_satisfiable(cnf):
+        tmaxex = bc.solve_with_stats(art.graph, Objective.MAX_COLORS_AMONG_MAX_VERTICES)[0]
+        if bc.is_tropical(art.graph, tmaxex) != bc.is_satisfiable(cnf):
             failures.append(f"cnf {idx}: decide_tmaxex disagrees with the SAT oracle")
     _verdict(4, "balanced-gadget soundness", failures)
 
@@ -97,7 +93,7 @@ def test_criterion_5_measure_identity_and_l_reduction():
     rng = random.Random(5)
     for idx, cnf in enumerate(corpus_cnfs(200, seed=CNF_CORPUS_SEED)):
         art = bc.build_sat_graph(cnf)
-        chk = bc.l_reduction_check(art, bc.solve_tex(art.graph))
+        chk = bc.l_reduction_check(art, bc.solve_with_stats(art.graph, Objective.MAX_COLORS)[0])
         if chk.opt_colors != 1 + chk.opt_sat:
             failures.append(f"cnf {idx}: colors {chk.opt_colors} != 1 + {chk.opt_sat}")
             continue
@@ -142,7 +138,8 @@ def test_criterion_6_two_per_color_identities():
         if len(sizes) != 1:
             failures.append(f"cnf {idx}: full selections differ in size {sorted(sizes)}")
             continue
-        colors = _metrics(art.graph, bc.solve_tmaxex(art.graph)).color_count
+        tmaxex = bc.solve_with_stats(art.graph, Objective.MAX_COLORS_AMONG_MAX_VERTICES)[0]
+        colors = _metrics(art.graph, tmaxex).color_count
         expected = cnf.num_vars + art.num_balance + bc.max_satisfiable(cnf)[0]
         if colors != expected:
             failures.append(f"cnf {idx}: tmaxex colors {colors} != {expected}")
@@ -170,7 +167,7 @@ def test_criterion_7_approximation_bound():
         n = rng.randint(1, 9)
         g = bc.gen_random(n, n, rng.choice((0.2, 0.35, 0.5)), seed=rng.randrange(2**30))
         approx_colors = _metrics(g, bc.approx_jpc(g)[0]).color_count
-        tex_colors = _metrics(g, bc.solve_tex(g)).color_count
+        tex_colors = _metrics(g, bc.solve_with_stats(g, Objective.MAX_COLORS)[0]).color_count
         if approx_colors != tex_colors:
             failures.append(f"rainbow graph {idx}: {approx_colors} != {tex_colors}")
     _verdict(7, "approximation bound", failures)
@@ -191,7 +188,8 @@ def test_criterion_8_fixture_regressions(g_conflict):
             failures.append(f"{objective.value}: solver {solved} != {want}")
         if oracle != want:
             failures.append(f"{objective.value}: oracle {oracle} != {want}")
-    if bc.is_tropical(g_conflict, bc.solve_tmaxex(g_conflict)) is not False:
+    tmaxex = bc.solve_with_stats(g_conflict, Objective.MAX_COLORS_AMONG_MAX_VERTICES)[0]
+    if bc.is_tropical(g_conflict, tmaxex) is not False:
         failures.append("decide_tmaxex should be False")
     _verdict(8, "fixture regressions", failures)
 

@@ -64,4 +64,5 @@ def test_approximation_bound(g):
     # the approximation always attains the vertex optimum
     assert metrics.vertex_count == bc.validate_cycle_set(g, bc.solve_max_size(g)).vertex_count
     if j == 1:
-        assert metrics.color_count == bc.validate_cycle_set(g, bc.solve_tex(g)).color_count
+        tex = bc.solve_with_stats(g, Objective.MAX_COLORS)[0]
+        assert metrics.color_count == bc.validate_cycle_set(g, tex).color_count

@@ -112,7 +112,7 @@ def test_solve_max_size_conflict(g_conflict):
 
 def test_solve_max_size_empty():
     s = bc.solve_max_size(bc.build_graph([], []))
-    assert s == bc.EMPTY_CYCLE_SET
+    assert s == bc.CycleSet()
 
 
 def test_solve_max_size_emits_self_loop_trade():

@@ -56,6 +56,7 @@ def test_clear_wantlist_and_approx(tmp_path, capsys):
     assert report.method == "approx"
     assert report.guarantee == "1"  # one item per agent: the bound is exact
     assert report.color_count == 2
+    assert report.nodes == 0 and report.seconds > 0  # the assignment solve is timed
 
 
 def test_clear_min_vertices_decision(conflict_file, tmp_path, capsys):
@@ -394,9 +395,13 @@ def test_reduce_accepts_satlib_percent_trailer(tmp_path, capsys):
     "clear --input m.graph --objective tex --budget-nodes 1_000 --output out",
     "clear --input m.graph --objective tex --min-vertices ３ --output out",
     "decide --input m.graph --objective exchange-x --x ٣",
+    "gen --vertices 10 --colors 2 --edge-prob ١ --seed 1 --output out",
+    "gen --vertices 10 --colors 2 --edge-prob 0_5 --seed 1 --output out",
+    "clear --input m.graph --objective tex --budget-secs 1_0 --output out",
+    "decide --input m.graph --objective tex --budget-secs ５",
 ])
 def test_integer_options_follow_the_format_integer_rule(argv, tmp_path, monkeypatch, capsys):
-    # argparse's type=int would read all of these
+    # argparse's type=int or type=float would read all of these
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv.split())

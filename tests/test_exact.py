@@ -12,6 +12,8 @@ from barterclear import Objective
 from conftest import CNF_A, CNF_B, objective_value, small_graphs
 
 EMPTY = bc.build_graph([], [])
+# the three objectives the cycle search answers
+COLOR_OBJECTIVES = [objective for objective in Objective if objective is not Objective.MAX_VERTICES]
 
 
 def metrics_of(g, s):
@@ -19,67 +21,73 @@ def metrics_of(g, s):
 
 
 def test_solve_tex_conflict(g_conflict):
-    assert metrics_of(g_conflict, bc.solve_tex(g_conflict)) == (2, 2)
+    s = bc.solve_with_stats(g_conflict, Objective.MAX_COLORS)[0]
+    assert metrics_of(g_conflict, s) == (2, 2)
 
 
 def test_solve_tex_pair(g_pair):
-    s = bc.solve_tex(g_pair)
+    s = bc.solve_with_stats(g_pair, Objective.MAX_COLORS)[0]
     assert metrics_of(g_pair, s) == (2, 2)
 
 
 def test_solve_tex_empty():
-    assert bc.solve_tex(EMPTY) == bc.EMPTY_CYCLE_SET
+    assert bc.solve_with_stats(EMPTY, Objective.MAX_COLORS)[0] == bc.CycleSet()
 
 
 def test_decide_tex(g_pair, g_conflict):
-    assert bc.is_tropical(g_pair, bc.solve_tex(g_pair)) is True
+    assert bc.is_tropical(g_pair, bc.solve_with_stats(g_pair, Objective.MAX_COLORS)[0]) is True
     # the 2-cycle a,d covers both red and blue
-    assert bc.is_tropical(g_conflict, bc.solve_tex(g_conflict)) is True
+    s = bc.solve_with_stats(g_conflict, Objective.MAX_COLORS)[0]
+    assert bc.is_tropical(g_conflict, s) is True
     # unsatisfiable formula: its gadget graph cannot cover all clause colors
     contradiction = bc.build_sat_graph(CNF_B).graph
-    assert bc.is_tropical(contradiction, bc.solve_tex(contradiction)) is False
+    s = bc.solve_with_stats(contradiction, Objective.MAX_COLORS)[0]
+    assert bc.is_tropical(contradiction, s) is False
     assert bc.is_satisfiable(CNF_B) is False
 
 
 def test_solve_tmaxex_conflict(g_conflict):
-    s = bc.solve_tmaxex(g_conflict)
+    s = bc.solve_with_stats(g_conflict, Objective.MAX_COLORS_AMONG_MAX_VERTICES)[0]
     assert metrics_of(g_conflict, s) == (3, 1)
     # the 3-vertex optimum is unique
     assert bc.cycle_vertices(g_conflict, s.cycles[0]) == (0, 1, 2)
 
 
 def test_solve_tmaxex_pair(g_pair):
-    assert metrics_of(g_pair, bc.solve_tmaxex(g_pair)) == (2, 2)
+    s = bc.solve_with_stats(g_pair, Objective.MAX_COLORS_AMONG_MAX_VERTICES)[0]
+    assert metrics_of(g_pair, s) == (2, 2)
 
 
 def test_solve_tmaxex_tie_prefers_colors(g_tie):
-    s = bc.solve_tmaxex(g_tie)
+    s = bc.solve_with_stats(g_tie, Objective.MAX_COLORS_AMONG_MAX_VERTICES)[0]
     assert metrics_of(g_tie, s) == (2, 2)
     assert bc.cycle_vertices(g_tie, s.cycles[0]) == (0, 2)
 
 
 def test_decide_tmaxex(g_pair, g_conflict):
     # the only vertex-maximal clearing of g_conflict misses blue
-    assert bc.is_tropical(g_conflict, bc.solve_tmaxex(g_conflict)) is False
-    assert bc.is_tropical(g_pair, bc.solve_tmaxex(g_pair)) is True
+    tmaxex = Objective.MAX_COLORS_AMONG_MAX_VERTICES
+    assert bc.is_tropical(g_conflict, bc.solve_with_stats(g_conflict, tmaxex)[0]) is False
+    assert bc.is_tropical(g_pair, bc.solve_with_stats(g_pair, tmaxex)[0]) is True
     balanced = bc.build_sat_graph(CNF_A, "balanced")
-    assert bc.is_tropical(balanced.graph, bc.solve_tmaxex(balanced.graph)) is True
+    assert bc.is_tropical(balanced.graph, bc.solve_with_stats(balanced.graph, tmaxex)[0]) is True
     assert bc.is_satisfiable(CNF_A) is True
 
 
 def test_solve_maxtex_conflict(g_conflict):
-    s = bc.solve_maxtex(g_conflict)
+    s = bc.solve_with_stats(g_conflict, Objective.MAX_VERTICES_AMONG_MAX_COLORS)[0]
     assert metrics_of(g_conflict, s) == (2, 2)
     assert bc.cycle_vertices(g_conflict, s.cycles[0]) == (0, 3)
 
 
 def test_solve_maxtex_pair(g_pair):
-    assert metrics_of(g_pair, bc.solve_maxtex(g_pair)) == (2, 2)
+    s = bc.solve_with_stats(g_pair, Objective.MAX_VERTICES_AMONG_MAX_COLORS)[0]
+    assert metrics_of(g_pair, s) == (2, 2)
 
 
 def test_solve_maxtex_self_loop_and_isolated_vertex():
     g = bc.build_graph([0, 1], [(0, 0)], ["red", "blue"])
-    s = bc.solve_maxtex(g)
+    s = bc.solve_with_stats(g, Objective.MAX_VERTICES_AMONG_MAX_COLORS)[0]
     assert metrics_of(g, s) == (1, 1)
     assert bc.cycle_vertices(g, s.cycles[0]) == (0,)
 
@@ -87,7 +95,7 @@ def test_solve_maxtex_self_loop_and_isolated_vertex():
 def test_brute_force_fixture_values(g_conflict):
     assert metrics_of(g_conflict, bc.brute_force_best(g_conflict, Objective.MAX_VERTICES)) == (3, 1)
     assert metrics_of(g_conflict, bc.brute_force_best(g_conflict, Objective.MAX_COLORS)) == (2, 2)
-    assert bc.brute_force_best(EMPTY, Objective.MAX_COLORS) == bc.EMPTY_CYCLE_SET
+    assert bc.brute_force_best(EMPTY, Objective.MAX_COLORS) == bc.CycleSet()
 
 
 def test_brute_force_lexicographic_tie_break(g_tie):
@@ -103,18 +111,20 @@ def test_brute_force_too_large():
 
 
 def test_node_budget_exceeded(g_conflict):
-    with pytest.raises(bc.BudgetExceeded, match="node limit"):
-        bc.solve_tex(g_conflict, bc.SearchBudget(node_limit=2))
+    for objective in COLOR_OBJECTIVES:
+        with pytest.raises(bc.BudgetExceeded, match="node limit"):
+            bc.solve_with_stats(g_conflict, objective, bc.SearchBudget(node_limit=2))
 
 
 def test_time_budget_exceeded():
     # a dense rainbow market: the search takes thousands of nodes, enough to
     # reach a time check
     g = bc.gen_random(16, 16, 0.3, seed=1)
-    _, stats = bc.solve_with_stats(g, Objective.MAX_COLORS)
-    assert stats.nodes > 2048, "instance must be big enough to reach a time check"
-    with pytest.raises(bc.BudgetExceeded, match="time limit"):
-        bc.solve_tex(g, bc.SearchBudget(time_limit=0.0))
+    for objective in COLOR_OBJECTIVES:
+        _, stats = bc.solve_with_stats(g, objective)
+        assert stats.nodes > 2048, f"{objective}: instance must be big enough to reach a time check"
+        with pytest.raises(bc.BudgetExceeded, match="time limit"):
+            bc.solve_with_stats(g, objective, bc.SearchBudget(time_limit=0.0))
 
 
 def test_budget_rejects_limits_it_cannot_keep():
@@ -122,28 +132,23 @@ def test_budget_rejects_limits_it_cannot_keep():
         with pytest.raises(ValueError, match="limit must not be negative"):
             bc.SearchBudget(**limits)
     bc.SearchBudget(node_limit=0, time_limit=0.0)
-    assert bc.solve_tex(bc.build_graph([0], []), bc.SearchBudget(time_limit=float("inf"))) == (
-        bc.EMPTY_CYCLE_SET)
+    unlimited = bc.SearchBudget(time_limit=float("inf"))
+    assert bc.solve_with_stats(bc.build_graph([0], []), Objective.MAX_COLORS, unlimited)[0] == (
+        bc.CycleSet())
 
 
 def test_determinism(g_tie):
     twin = bc.build_graph([0, 0, 1], [(0, 1), (1, 0), (0, 2), (2, 0)], ["red", "blue"])
-    for solve in (bc.solve_tex, bc.solve_tmaxex, bc.solve_maxtex):
-        assert solve(g_tie) == solve(twin)
+    for objective in COLOR_OBJECTIVES:
+        assert bc.solve_with_stats(g_tie, objective)[0] == bc.solve_with_stats(twin, objective)[0]
 
 
 @settings(max_examples=80, deadline=None)
 @given(g=small_graphs())
 def test_solvers_match_oracle_metrics(g):
-    pairs = [
-        (bc.solve_max_size(g), Objective.MAX_VERTICES),
-        (bc.solve_tex(g), Objective.MAX_COLORS),
-        (bc.solve_tmaxex(g), Objective.MAX_COLORS_AMONG_MAX_VERTICES),
-        (bc.solve_maxtex(g), Objective.MAX_VERTICES_AMONG_MAX_COLORS),
-    ]
-    for solved, objective in pairs:
+    for objective in Objective:
         want = objective_value(objective, metrics_of(g, bc.brute_force_best(g, objective)))
-        got = objective_value(objective, metrics_of(g, solved))
+        got = objective_value(objective, metrics_of(g, bc.solve_with_stats(g, objective)[0]))
         assert got == want, objective
 
 
@@ -151,8 +156,7 @@ def test_solvers_match_oracle_metrics(g):
 @given(g=small_graphs())
 def test_solvers_return_the_oracle_cycle_set(g):
     # both return the lexicographically least canonical optimum
-    for objective in (Objective.MAX_COLORS, Objective.MAX_COLORS_AMONG_MAX_VERTICES,
-                      Objective.MAX_VERTICES_AMONG_MAX_COLORS):
+    for objective in COLOR_OBJECTIVES:
         assert bc.solve_with_stats(g, objective)[0] == bc.brute_force_best(g, objective)
 
 
@@ -169,7 +173,7 @@ FAULT_CNF = bc.CnfInstance(5, (
 def test_fault_gadgets_are_cleared_tropically():
     for variant in ("plain", "balanced"):
         art = bc.build_sat_graph(FAULT_CNF, variant)
-        s = bc.solve_tex(art.graph)
+        s = bc.solve_with_stats(art.graph, Objective.MAX_COLORS)[0]
         assert bc.is_tropical(art.graph, s)
         assignment = bc.extract_assignment(art, s)
         assert bc.satisfied_count(FAULT_CNF, assignment) == FAULT_CNF.num_clauses
@@ -180,8 +184,7 @@ def test_color_search_leaves_no_garbage():
     gc.collect()
     gc.disable()
     try:
-        for objective in (Objective.MAX_COLORS, Objective.MAX_COLORS_AMONG_MAX_VERTICES,
-                          Objective.MAX_VERTICES_AMONG_MAX_COLORS):
+        for objective in COLOR_OBJECTIVES:
             bc.solve_with_stats(g, objective)
             assert gc.collect() == 0, objective
     finally:
@@ -192,9 +195,9 @@ def test_color_search_leaves_no_garbage():
 @given(g=small_graphs())
 def test_chaining_and_ordering_identities(g):
     max_size = metrics_of(g, bc.solve_max_size(g))
-    tex = metrics_of(g, bc.solve_tex(g))
-    tmaxex = metrics_of(g, bc.solve_tmaxex(g))
-    maxtex = metrics_of(g, bc.solve_maxtex(g))
+    tex = metrics_of(g, bc.solve_with_stats(g, Objective.MAX_COLORS)[0])
+    tmaxex = metrics_of(g, bc.solve_with_stats(g, Objective.MAX_COLORS_AMONG_MAX_VERTICES)[0])
+    maxtex = metrics_of(g, bc.solve_with_stats(g, Objective.MAX_VERTICES_AMONG_MAX_COLORS)[0])
     assert tmaxex.vertex_count == max_size.vertex_count
     assert maxtex.color_count == tex.color_count
     assert tex.color_count >= tmaxex.color_count
@@ -205,11 +208,11 @@ def test_chaining_and_ordering_identities(g):
 @given(g=small_graphs())
 def test_decision_forms_follow_from_optima(g):
     k = g.color_count
-    tex_tropical = bc.is_tropical(g, bc.solve_tex(g))
-    for solve, objective in ((bc.solve_tex, Objective.MAX_COLORS),
-                             (bc.solve_tmaxex, Objective.MAX_COLORS_AMONG_MAX_VERTICES)):
+    tex_tropical = bc.is_tropical(g, bc.solve_with_stats(g, Objective.MAX_COLORS)[0])
+    for objective in (Objective.MAX_COLORS, Objective.MAX_COLORS_AMONG_MAX_VERTICES):
         oracle = metrics_of(g, bc.brute_force_best(g, objective))
-        assert bc.is_tropical(g, solve(g)) == (oracle.color_count == k)
+        assert bc.is_tropical(g, bc.solve_with_stats(g, objective)[0]) == (oracle.color_count == k)
     # a color-primary optimum answers the tropicality question by inspection
-    maxtex_tropical = metrics_of(g, bc.solve_maxtex(g)).color_count == k
+    maxtex = bc.solve_with_stats(g, Objective.MAX_VERTICES_AMONG_MAX_COLORS)[0]
+    maxtex_tropical = metrics_of(g, maxtex).color_count == k
     assert maxtex_tropical == tex_tropical

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -467,6 +469,8 @@ def test_report_parse_ignores_old_traded_agents_line():
     ("colors ١", "line 4: expected an integer, got '١'"),
     ("nodes x", "line 6: expected an integer, got 'x'"),
     ("seconds x", "line 7: expected a number of seconds, got 'x'"),
+    ("seconds 1_0", "line 7: expected a number of seconds, got '1_0'"),
+    ("seconds ١", "line 7: expected a number of seconds, got '١'"),
 ])
 def test_report_fields_follow_the_format_number_rules(line, error):
     report = bc.RunReport("tex", "exact", 4, 2, 3, 123, 0.5)
@@ -482,3 +486,12 @@ def test_parse_integer_takes_a_sign_and_ascii_digits_only():
     for token in ("1_0", "١", " 1", "1.0", "", "-", "0x1f", "9" * 5000):
         with pytest.raises(ValueError):
             bc.parse_integer(token)
+
+
+def test_parse_float_takes_ascii_without_underscores_or_whitespace():
+    assert [bc.parse_float(t) for t in ("0.5", "-1", "+7", "1e3", ".5", "inf")] == [
+        0.5, -1.0, 7.0, 1000.0, 0.5, float("inf")]
+    assert math.isnan(bc.parse_float("nan"))
+    for token in ("1_0", "١", "１.5", " 1", "1 ", "1\t", "", "x", "1.0.0"):
+        with pytest.raises(ValueError):
+            bc.parse_float(token)

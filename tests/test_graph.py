@@ -100,7 +100,7 @@ def test_validate_forced_pair(g_pair):
 
 
 def test_validate_empty_set_is_valid(g_pair):
-    assert bc.validate_cycle_set(g_pair, bc.EMPTY_CYCLE_SET) == bc.SolutionMetrics(0, 0)
+    assert bc.validate_cycle_set(g_pair, bc.CycleSet()) == bc.SolutionMetrics(0, 0)
 
 
 NAMED_CONFLICT = "V a red\nV b red\nV c red\nV d blue\nE a b\nE b c\nE c a\nE a d\nE d a\n"
@@ -399,7 +399,7 @@ def test_accepted_sets_count_each_vertex_once(g):
 @settings(max_examples=60, deadline=None)
 @given(g=small_graphs())
 def test_tropicality_matches_color_coverage(g):
-    s = bc.solve_tex(g)
+    s = bc.solve_with_stats(g, bc.Objective.MAX_COLORS)[0]
     metrics = bc.validate_cycle_set(g, s)
     covered = {
         g.vertex_colors[v] for c in s.cycles for v in bc.cycle_vertices(g, c)

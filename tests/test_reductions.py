@@ -39,7 +39,8 @@ def test_plain_gadget_single_clause():
     art = bc.build_sat_graph(SINGLE)
     assert art.graph.vertex_count == 2
     assert art.graph.color_count == 2
-    assert bc.is_tropical(art.graph, bc.solve_tex(art.graph)) is True
+    s = bc.solve_with_stats(art.graph, bc.Objective.MAX_COLORS)[0]
+    assert bc.is_tropical(art.graph, s) is True
 
 
 def test_plain_gadget_vertex_count_formula():
@@ -162,7 +163,7 @@ def test_extract_assignment_direct_readout():
 
 def test_extract_assignment_defaults_to_true():
     art = bc.build_sat_graph(CNF_A)
-    assert bc.extract_assignment(art, bc.EMPTY_CYCLE_SET) == {1: True, 2: True}
+    assert bc.extract_assignment(art, bc.CycleSet()) == {1: True, 2: True}
 
 
 def test_extract_assignment_cnf_b():
@@ -233,7 +234,7 @@ def test_clause_colors_covered_examples():
     art = bc.build_sat_graph(CNF_A)
     both_true = bc.CycleSet((art.true_loops[0], art.true_loops[1]))
     assert bc.clause_colors_covered(art, both_true) == 2
-    assert bc.clause_colors_covered(art, bc.EMPTY_CYCLE_SET) == 0
+    assert bc.clause_colors_covered(art, bc.CycleSet()) == 0
     art_b = bc.build_sat_graph(CNF_B)
     assert bc.clause_colors_covered(art_b, bc.CycleSet((art_b.true_loops[0],))) == 1
 
@@ -248,7 +249,7 @@ def test_full_selection_covers_every_variable():
 
 def test_l_reduction_check_at_the_optimum():
     art = bc.build_sat_graph(CNF_A)
-    chk = bc.l_reduction_check(art, bc.solve_tex(art.graph))
+    chk = bc.l_reduction_check(art, bc.solve_with_stats(art.graph, bc.Objective.MAX_COLORS)[0])
     assert chk.opt_colors == 1 + chk.opt_sat
     assert chk.error_sat == chk.error_colors == 0
     assert chk.holds()
@@ -268,7 +269,8 @@ def test_l_reduction_errors_match_on_full_selections():
 @given(cnf=cnfs(max_vars=3, max_clauses=4))
 def test_reduction_soundness_small(cnf):
     art = bc.build_sat_graph(cnf)
-    assert bc.is_tropical(art.graph, bc.solve_tex(art.graph)) == bc.is_satisfiable(cnf)
+    s = bc.solve_with_stats(art.graph, bc.Objective.MAX_COLORS)[0]
+    assert bc.is_tropical(art.graph, s) == bc.is_satisfiable(cnf)
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,14 +279,16 @@ def test_balanced_soundness_small(cnf):
     art = bc.build_sat_graph(cnf, "balanced")
     lengths = {len(c) for c in art.true_loops + art.false_loops}
     assert len(lengths) == 1
-    assert bc.is_tropical(art.graph, bc.solve_tmaxex(art.graph)) == bc.is_satisfiable(cnf)
+    s = bc.solve_with_stats(art.graph, bc.Objective.MAX_COLORS_AMONG_MAX_VERTICES)[0]
+    assert bc.is_tropical(art.graph, s) == bc.is_satisfiable(cnf)
 
 
 @settings(max_examples=40, deadline=None)
 @given(cnf=cnfs(max_vars=3, max_clauses=4))
 def test_measure_identity_small(cnf):
     art = bc.build_sat_graph(cnf)
-    colors = bc.validate_cycle_set(art.graph, bc.solve_tex(art.graph)).color_count
+    s = bc.solve_with_stats(art.graph, bc.Objective.MAX_COLORS)[0]
+    colors = bc.validate_cycle_set(art.graph, s).color_count
     assert colors == 1 + bc.max_satisfiable(cnf)[0]
 
 
