@@ -36,13 +36,11 @@ from .formats import (
     parse_report,
     parse_solution,
     parse_wantlist,
-    serialize_cycles,
     serialize_gadget_map,
     serialize_graph,
     serialize_report,
     serialize_solution,
     serialize_wantlist,
-    solution_cycles,
 )
 from .graph import (
     BrokenChain,

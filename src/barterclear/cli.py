@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from functools import cache
 from pathlib import Path
 from time import monotonic
@@ -34,12 +33,10 @@ from .formats import (
     parse_integer,
     parse_solution,
     parse_wantlist,
-    serialize_cycles,
     serialize_gadget_map,
     serialize_graph,
     serialize_report,
     serialize_solution,
-    solution_cycles,
 )
 from .graph import (
     validate_cycle_set,
@@ -97,8 +94,8 @@ def cmd_clear(args: argparse.Namespace) -> int:
         guarantee_text = ""
     # a run never emits a solution it cannot verify
     metrics = validate_cycle_set(g, solution)
-    cycles = solution_cycles(g, solution)
-    Path(args.output).write_text(serialize_cycles(cycles))
+    text = serialize_solution(g, solution)
+    Path(args.output).write_text(text)
     report = RunReport(
         objective=args.objective,
         method=args.method,
@@ -108,9 +105,8 @@ def cmd_clear(args: argparse.Namespace) -> int:
         nodes=nodes,
         seconds=seconds,
         guarantee=guarantee_text,
-        cycles=cycles,
     )
-    sys.stdout.write(serialize_report(report))
+    sys.stdout.write(serialize_report(report) + text)
     if args.min_vertices is not None and metrics.vertex_count < args.min_vertices:
         return EXIT_NO
     return EXIT_OK
@@ -151,10 +147,17 @@ def _rotated(cycle: tuple[str, ...]) -> tuple[str, ...]:
 def cmd_pullback(args: argparse.Namespace) -> int:
     gm = parse_gadget_map(Path(args.map).read_text())
     cycles = parse_cycles(Path(args.solution).read_text())
-    names = [v for cycle in cycles for v in cycle]
-    if len(set(names)) < len(names):
-        shared = next(v for v, count in Counter(names).items() if count > 1)
-        raise InvalidSolution(f"vertex {shared} is in two cycles")
+    # record by record, a repeated vertex before an overlap, as verify checks;
+    # a gadget names its vertices by their ids, so the lowest id of an
+    # overlap is its shortest, then least, name
+    seen: set[str] = set()
+    for cycle in cycles:
+        if len(set(cycle)) < len(cycle):
+            raise InvalidSolution(f"cycle {' '.join(cycle)} is not simple")
+        if not seen.isdisjoint(cycle):
+            shared = min(seen.intersection(cycle), key=lambda v: (len(v), v))
+            raise InvalidSolution(f"vertex {shared} is in two cycles")
+        seen.update(cycle)
     # the map has no graph, so a cycle is named by its vertex names in cycle
     # order, rotated to start at the smallest name
     loops = [(_rotated(gm.true_loops[i]), _rotated(gm.false_loops[i]))
@@ -178,6 +181,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.graph_file is not None:
         if args.objective is None:
             raise ValueError("--objective is required with --graph")
+        if args.sat or args.maxsat:
+            raise ValueError(f"--{'sat' if args.sat else 'maxsat'} is not used with --graph")
         g = parse_graph(Path(args.graph_file).read_text())
         best = brute_force_best(g, Objective(args.objective))
         metrics = validate_cycle_set(g, best)
@@ -185,6 +190,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"colors {metrics.color_count} of {g.color_count}")
         sys.stdout.write(serialize_solution(g, best))
         return EXIT_OK
+    if args.objective is not None:
+        raise ValueError("--objective is not used with --cnf")
     if not args.sat and not args.maxsat:
         raise ValueError("--sat or --maxsat is required with --cnf")
     cnf = parse_dimacs(Path(args.cnf).read_text())

@@ -7,7 +7,8 @@ Solution files carry ``C <v1> <v2> ... <vk>`` records meaning the cycle
 v1 -> v2 -> ... -> vk -> v1; when parallel edges exist between consecutive
 vertices the lowest edge id is taken.  Want-lists use the community format
 ``<agent> <item> : <item>*``.  Parsing a serialized canonical object gives
-the object back exactly.
+the object back exactly.  Cycle text has one writer, ``serialize_solution``;
+a run report holds only its ``<key> <value>`` lines.
 
 Graph files are parsed in bulk: the text is split once, the record shapes
 are checked over all records at once, and names, labels and endpoints are
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
@@ -175,21 +176,12 @@ def _graph_error(text: str) -> ParseError:
 # solution files
 
 
-def solution_cycles(g: ColoredDigraph, s: CycleSet) -> tuple[tuple[str, ...], ...]:
-    """The canonical cycles of ``s`` (rotated and sorted) as vertex-name tuples."""
-    names = g.vertex_names
-    return tuple([tuple([names[v] for v in c]) for c in canonical_cycle_vertices(g, s)])
-
-
-def serialize_cycles(cycles: tuple[tuple[str, ...], ...]) -> str:
-    """Solution text form of vertex-name cycles, in order; ``parse_cycles``
-    reads them back."""
-    return "".join("C " + " ".join(cycle) + "\n" for cycle in cycles)
-
-
 def serialize_solution(g: ColoredDigraph, s: CycleSet) -> str:
-    """Canonical solution text form; ``parse_cycles`` reads its cycles back."""
-    return serialize_cycles(solution_cycles(g, s))
+    """Canonical solution text form (cycles rotated to their smallest vertex,
+    sorted by it), the one writer of cycle text; ``parse_cycles`` reads it back."""
+    names = g.vertex_names
+    return "".join(["C " + " ".join([names[v] for v in c]) + "\n"
+                    for c in canonical_cycle_vertices(g, s)])
 
 
 def _cycle_records(text: str):
@@ -379,14 +371,13 @@ def gen_random(
 @dataclass(frozen=True, eq=True)
 class GadgetMap:
     """Parsed reduction sidecar: enough to pull a solution file back to an
-    assignment and score it, without reloading the gadget graph."""
+    assignment and score it, without reloading the gadget graph.  Colours
+    are the graph's own labels and are not repeated here."""
 
     num_vars: int
     true_loops: dict[int, tuple[str, ...]]
     false_loops: dict[int, tuple[str, ...]]
-    clause_color_labels: dict[int, str]
-    balance_color_labels: tuple[str, ...]
-    clauses: tuple[tuple[int, ...], ...] = field(default=())
+    clauses: tuple[tuple[int, ...], ...] = ()
     balance_cycle: tuple[str, ...] = ()
 
     def cnf(self) -> CnfInstance:
@@ -397,19 +388,14 @@ def serialize_gadget_map(gm: GadgetMap) -> str:
     """Sidecar map text form; ``parse_gadget_map`` gives ``gm`` back.
 
     ``VAR i TRUE|FALSE <vertices>`` lists each loop in cycle order;
-    ``CLAUSECOLOR j <label>`` and ``BALANCECOLOR <labels>`` name the special
-    colors; ``BALANCECYCLE <vertices>`` lists the ``2pc`` twin cycle, the one
-    cycle of a gadget that is no loop; ``CLAUSE j <literals>`` repeats the
-    source clauses so the pullback can count satisfied clauses.
+    ``BALANCECYCLE <vertices>`` lists the ``2pc`` twin cycle, the one cycle
+    of a gadget that is no loop; ``CLAUSE j <literals>`` repeats the source
+    clauses so the pullback can count satisfied clauses.
     """
     lines = []
     for i in range(1, gm.num_vars + 1):
         for tag, loop in (("TRUE", gm.true_loops[i]), ("FALSE", gm.false_loops[i])):
             lines.append(f"VAR {i} {tag} " + " ".join(loop))
-    for j, label in sorted(gm.clause_color_labels.items()):
-        lines.append(f"CLAUSECOLOR {j} {label}")
-    if gm.balance_color_labels:
-        lines.append("BALANCECOLOR " + " ".join(gm.balance_color_labels))
     if gm.balance_cycle:
         lines.append("BALANCECYCLE " + " ".join(gm.balance_cycle))
     for j, clause in enumerate(gm.clauses, start=1):
@@ -418,11 +404,11 @@ def serialize_gadget_map(gm: GadgetMap) -> str:
 
 
 def parse_gadget_map(text: str) -> GadgetMap:
-    """Parse the sidecar map text form; a repeated record is a parse error."""
+    """Parse the sidecar map text form; a repeated record is a parse error.
+    The ``CLAUSECOLOR`` and ``BALANCECOLOR`` records of older maps, which
+    restated the graph's colour labels, are skipped."""
     true_loops: dict[int, tuple[str, ...]] = {}
     false_loops: dict[int, tuple[str, ...]] = {}
-    clause_color_labels: dict[int, str] = {}
-    balance_color_labels: tuple[str, ...] = ()
     balance_cycle: tuple[str, ...] = ()
     clauses: dict[int, tuple[int, ...]] = {}
     seen: set[str] = set()
@@ -442,15 +428,8 @@ def parse_gadget_map(text: str) -> GadgetMap:
             if var in target:
                 raise ParseError(f"duplicate {tokens[2]} loop for variable {var}", lineno)
             target[var] = tuple(tokens[3:])
-        elif kind == "CLAUSECOLOR":
-            if len(tokens) != 3:
-                raise ParseError("expected 'CLAUSECOLOR <j> <label>'", lineno)
-            j = _parse_int(tokens[1], lineno)
-            once(f"CLAUSECOLOR {j}", lineno)
-            clause_color_labels[j] = tokens[2]
-        elif kind == "BALANCECOLOR":
-            once(kind, lineno)
-            balance_color_labels = tuple(tokens[1:])
+        elif kind in ("CLAUSECOLOR", "BALANCECOLOR"):
+            continue
         elif kind == "BALANCECYCLE":
             if len(tokens) < 2:
                 raise ParseError("expected 'BALANCECYCLE <vertices>'", lineno)
@@ -475,8 +454,6 @@ def parse_gadget_map(text: str) -> GadgetMap:
         num_vars=num_vars,
         true_loops=true_loops,
         false_loops=false_loops,
-        clause_color_labels=clause_color_labels,
-        balance_color_labels=balance_color_labels,
         clauses=ordered_clauses,
         balance_cycle=balance_cycle,
     )
@@ -535,7 +512,8 @@ def parse_float(token: str) -> float:
 @dataclass(frozen=True)
 class RunReport:
     """Summary of one clearing run; metrics always match a re-validation of
-    the emitted solution.  ``color_count`` is also the number of agents trading."""
+    the emitted solution, whose cycles it does not hold.  ``color_count`` is
+    also the number of agents trading."""
 
     objective: str
     method: str
@@ -545,7 +523,6 @@ class RunReport:
     nodes: int
     seconds: float
     guarantee: str = ""
-    cycles: tuple[tuple[str, ...], ...] = ()
 
 
 def serialize_report(report: RunReport) -> str:
@@ -560,18 +537,15 @@ def serialize_report(report: RunReport) -> str:
     ]
     if report.guarantee:
         lines.append(f"guarantee {report.guarantee}")
-    for cycle in report.cycles:
-        lines.append("C " + " ".join(cycle))
     return "\n".join(lines) + "\n"
 
 
 def parse_report(text: str) -> RunReport:
-    """Unknown keys, like the ``traded-agents`` line of older reports, are ignored."""
+    """Unknown keys, like the ``traded-agents`` line of older reports, are
+    ignored, and so are the ``C`` lines ``clear`` prints after the report."""
     fields: dict[str, tuple[str, int]] = {}
-    cycles: list[tuple[str, ...]] = []
     for lineno, tokens in _records(text):
         if tokens[0] == "C":
-            cycles.append(tuple(tokens[1:]))
             continue
         if len(tokens) != 2:
             raise ParseError("expected '<key> <value>'", lineno)
@@ -591,5 +565,4 @@ def parse_report(text: str) -> RunReport:
         nodes=_parse_int(*field("nodes")),
         seconds=_parse_float(*field("seconds"), "expected a number of seconds, got {!r}"),
         guarantee=fields.get("guarantee", ("",))[0],
-        cycles=tuple(cycles),
     )

@@ -56,7 +56,8 @@ class ReductionArtifact:
 
     ``variable_vertex[i-1]``, ``true_loops[i-1]`` and ``false_loops[i-1]``
     describe variable i; ``clause_colors[j]`` is the color of clause j
-    (0-based).
+    (0-based).  ``balance_vertices`` are the padding vertices; their colors,
+    like every label, are read off ``graph``.
     """
 
     graph: ColoredDigraph
@@ -66,7 +67,6 @@ class ReductionArtifact:
     false_loops: tuple[Cycle, ...]
     clause_colors: tuple[int, ...]
     balance_vertices: tuple[int, ...] = ()
-    balance_colors: frozenset[int] = frozenset()
     balance_cycle: Cycle | None = None
 
     @property
@@ -141,15 +141,14 @@ def build_sat_graph(cnf: CnfInstance, variant: str = "plain") -> ReductionArtifa
                 balance.append(len(vertex_colors))
                 chain.append(len(vertex_colors))
                 vertex_colors.append(len(labels) - 1)
-    balance_colors = [vertex_colors[v] for v in balance]
 
     edges: list[tuple[int, int]] = []
     loops = [_add_loop(edges, k // 2, chain) for k, chain in enumerate(chains)]
     balance_cycle = None
     if two_per_color:
-        # one twin vertex per balance color, forming one extra cycle
+        # one twin vertex per balance vertex, in its color, forming one extra cycle
         twins = list(range(len(vertex_colors), len(vertex_colors) + len(balance)))
-        vertex_colors += balance_colors
+        vertex_colors += [vertex_colors[v] for v in balance]
         balance_cycle = _add_loop(edges, twins[0], twins[1:])
 
     return ReductionArtifact(
@@ -160,14 +159,13 @@ def build_sat_graph(cnf: CnfInstance, variant: str = "plain") -> ReductionArtifa
         false_loops=tuple(loops[1::2]),
         clause_colors=clause_colors,
         balance_vertices=tuple(balance),
-        balance_colors=frozenset(balance_colors),
         balance_cycle=balance_cycle,
     )
 
 
 def gadget_map(art: ReductionArtifact) -> GadgetMap:
-    """The artifact's sidecar map, naming vertices and colors as the gadget
-    graph does."""
+    """The artifact's sidecar map, naming vertices as the gadget graph does;
+    the clause and balance colors are the graph's own labels and stay there."""
     g = art.graph
     n = art.cnf.num_vars
 
@@ -179,8 +177,6 @@ def gadget_map(art: ReductionArtifact) -> GadgetMap:
         num_vars=n,
         true_loops=dict(enumerate(loops[:n], start=1)),
         false_loops=dict(enumerate(loops[n:], start=1)),
-        clause_color_labels={j: g.color_labels[c] for j, c in enumerate(art.clause_colors, 1)},
-        balance_color_labels=tuple(g.color_labels[c] for c in sorted(art.balance_colors)),
         clauses=art.cnf.clauses,
         balance_cycle=named(art.balance_cycle) if art.balance_cycle is not None else (),
     )

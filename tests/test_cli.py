@@ -59,6 +59,35 @@ def test_clear_wantlist_and_approx(tmp_path, capsys):
     assert report.nodes == 0 and report.seconds > 0  # the assignment solve is timed
 
 
+def test_clear_prints_the_report_keys_then_the_solution_file(conflict_file, tmp_path, capsys):
+    keys = ["objective", "method", "vertices", "colors", "total-colors", "nodes", "seconds"]
+    runs = [[objective, "exact"] for objective in ("max-size", "tex", "tmaxex", "maxtex")]
+    runs.append(["tex", "approx"])
+    for objective, method in runs:
+        solution = tmp_path / f"{objective}-{method}.sol"
+        assert main(["clear", "--input", str(conflict_file), "--objective", objective,
+                     "--method", method, "--output", str(solution)]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        expected = keys + ["guarantee"] if method == "approx" else keys
+        head, tail = lines[:len(expected)], lines[len(expected):]
+        assert [line.split()[0] for line in head] == expected
+        assert "".join(tail) == solution.read_text() != ""
+
+
+def test_decide_reads_a_wantlist_as_its_graph_file(tmp_path, capsys):
+    wants = tmp_path / "wants.txt"
+    wants.write_text("alice a1 : b1 c1\nbob b1 : a1\ncarol c1 : a2\nalice a2 : c1\n")
+    graph = tmp_path / "wants.graph"
+    graph.write_text(bc.serialize_graph(bc.parse_wantlist(wants.read_text())))
+    for decision in ("exchange-x", "tex", "tmaxex", "maxtex-x"):
+        answers = []
+        for argv in (["--input", str(wants), "--wantlist"], ["--input", str(graph)]):
+            code = main(["decide", *argv, "--objective", decision, "--x", "3"])
+            answers.append((code, capsys.readouterr().out))
+        assert answers[0] == answers[1]
+        assert answers[0][1].count("\n") == 3
+
+
 def test_clear_min_vertices_decision(conflict_file, tmp_path, capsys):
     solution = tmp_path / "out.sol"
     base = ["clear", "--input", str(conflict_file), "--objective", "max-size",
@@ -163,13 +192,18 @@ def test_pullback_rejects_cycles_sharing_a_vertex(tmp_path, capsys):
                  "--output", str(graph), "--map", str(gmap)]) == 0
     capsys.readouterr()
     both = tmp_path / "both.sol"
-    both.write_text("C 0 2\nC 0\n")  # the TRUE and the FALSE loop of x1
-    for argv in (["verify", "--graph", str(graph)], ["pullback", "--map", str(gmap)]):
-        assert main(argv + ["--solution", str(both)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: vertex 0 is in two cycles")
-        assert len(captured.err.strip().splitlines()) == 1
+    for text, error in (
+        ("C 0 2\nC 0\n", "vertex 0 is in two cycles"),  # the TRUE and the FALSE loop of x1
+        ("C 0 2\nC 2 0\n", "vertex 0 is in two cycles"),  # one loop twice: the lowest id
+        ("C 0 2 0\n", "cycle 0 2 0 is not simple"),  # one record through 0 twice
+    ):
+        both.write_text(text)
+        for argv in (["verify", "--graph", str(graph)], ["pullback", "--map", str(gmap)]):
+            assert main(argv + ["--solution", str(both)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {error}")
+            assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_pullback_rejects_cycles_outside_the_gadget(tmp_path, capsys):
@@ -259,6 +293,11 @@ def test_oracle_graph(conflict_file, capsys):
     out = capsys.readouterr().out
     assert "vertices 2" in out and "colors 2 of 2" in out
     assert "C a d" in out
+    assert main(["oracle", "--graph", str(conflict_file), "--objective", "tex", "--sat"]) == 2
+    assert capsys.readouterr().err == "error: --sat is not used with --graph\n"
+    assert main(["oracle", "--graph", str(conflict_file), "--objective", "tex",
+                 "--maxsat"]) == 2
+    assert capsys.readouterr().err == "error: --maxsat is not used with --graph\n"
 
 
 def test_oracle_cnf(tmp_path, capsys):
@@ -273,6 +312,11 @@ def test_oracle_cnf(tmp_path, capsys):
     assert main(["oracle", "--cnf", str(cnf), "--sat"]) == 1
     assert capsys.readouterr().out.strip() == "UNSATISFIABLE"
     assert main(["oracle", "--cnf", str(cnf)]) == 2  # needs --sat or --maxsat
+    capsys.readouterr()
+    for mode in ("--sat", "--maxsat"):
+        assert main(["oracle", "--cnf", str(cnf), mode, "--objective", "tex"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --objective is not used with --cnf\n")
 
 
 def test_verify_rejects_invalid_solution(conflict_file, tmp_path, capsys):

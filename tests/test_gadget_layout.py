@@ -25,8 +25,7 @@ GOLDEN = {
         ),
         (
             'VAR 1 TRUE 0 2 | VAR 1 FALSE 0 | VAR 2 TRUE 1 4 | VAR 2 FALSE 1 3 | '
-            'CLAUSECOLOR 1 clause1 | CLAUSECOLOR 2 clause2 | CLAUSE 1 1 -2 | '
-            'CLAUSE 2 2'
+            'CLAUSE 1 1 -2 | CLAUSE 2 2'
         ),
         (((0, 1), (3, 4)), ((2,), (5, 6)), None),
     ),
@@ -39,8 +38,7 @@ GOLDEN = {
         ),
         (
             'VAR 1 TRUE 0 2 5 | VAR 1 FALSE 0 6 7 | VAR 2 TRUE 1 4 8 | '
-            'VAR 2 FALSE 1 3 9 | CLAUSECOLOR 1 clause1 | CLAUSECOLOR 2 clause2 | '
-            'BALANCECOLOR balance | CLAUSE 1 1 -2 | CLAUSE 2 2'
+            'VAR 2 FALSE 1 3 9 | CLAUSE 1 1 -2 | CLAUSE 2 2'
         ),
         (((0, 1, 2), (6, 7, 8)), ((3, 4, 5), (9, 10, 11)), None),
     ),
@@ -55,9 +53,8 @@ GOLDEN = {
         ),
         (
             'VAR 1 TRUE 0 2 5 | VAR 1 FALSE 0 6 7 | VAR 2 TRUE 1 4 8 | '
-            'VAR 2 FALSE 1 3 9 | CLAUSECOLOR 1 clause1 | CLAUSECOLOR 2 clause2 | '
-            'BALANCECOLOR balance1 balance2 balance3 balance4 balance5 | '
-            'BALANCECYCLE 10 11 12 13 14 | CLAUSE 1 1 -2 | CLAUSE 2 2'
+            'VAR 2 FALSE 1 3 9 | BALANCECYCLE 10 11 12 13 14 | CLAUSE 1 1 -2 | '
+            'CLAUSE 2 2'
         ),
         (((0, 1, 2), (6, 7, 8)), ((3, 4, 5), (9, 10, 11)), (12, 13, 14, 15, 16)),
     ),
@@ -65,7 +62,7 @@ GOLDEN = {
         'V 0 var | V 1 var | V 2 clause1 | E 0 2 | E 2 0 | E 0 0 | E 1 1 | E 1 1',
         (
             'VAR 1 TRUE 0 2 | VAR 1 FALSE 0 | VAR 2 TRUE 1 | VAR 2 FALSE 1 | '
-            'CLAUSECOLOR 1 clause1 | CLAUSE 1 1'
+            'CLAUSE 1 1'
         ),
         (((0, 1), (3,)), ((2,), (4,)), None),
     ),
@@ -78,8 +75,7 @@ GOLDEN = {
         ),
         (
             'VAR 1 TRUE 0 2 3 | VAR 1 FALSE 0 4 5 | VAR 2 TRUE 1 6 7 | '
-            'VAR 2 FALSE 1 8 9 | CLAUSECOLOR 1 clause1 | BALANCECOLOR balance | '
-            'CLAUSE 1 1'
+            'VAR 2 FALSE 1 8 9 | CLAUSE 1 1'
         ),
         (((0, 1, 2), (6, 7, 8)), ((3, 4, 5), (9, 10, 11)), None),
     ),
@@ -95,9 +91,7 @@ GOLDEN = {
         ),
         (
             'VAR 1 TRUE 0 2 3 | VAR 1 FALSE 0 4 5 | VAR 2 TRUE 1 6 7 | '
-            'VAR 2 FALSE 1 8 9 | CLAUSECOLOR 1 clause1 | '
-            'BALANCECOLOR balance1 balance2 balance3 balance4 balance5 balance6 balance7 | '
-            'BALANCECYCLE 10 11 12 13 14 15 16 | CLAUSE 1 1'
+            'VAR 2 FALSE 1 8 9 | BALANCECYCLE 10 11 12 13 14 15 16 | CLAUSE 1 1'
         ),
         (((0, 1, 2), (6, 7, 8)), ((3, 4, 5), (9, 10, 11)), (12, 13, 14, 15, 16, 17, 18)),
     ),
@@ -158,3 +152,44 @@ def test_reduce_writes_the_golden_files(cnf_name, variant, tmp_path):
     graph_text, map_text, _ = GOLDEN[cnf_name, variant]
     assert records(graph.read_text()) == graph_text
     assert records(gmap.read_text()) == map_text
+
+
+# CNF_A's maps as `reduce` wrote them while maps still restated the gadget
+# graph's colour labels in CLAUSECOLOR and BALANCECOLOR records
+OLDER_MAPS = {
+    'plain': (
+        'VAR 1 TRUE 0 2 | VAR 1 FALSE 0 | VAR 2 TRUE 1 4 | VAR 2 FALSE 1 3 | '
+        'CLAUSECOLOR 1 clause1 | CLAUSECOLOR 2 clause2 | CLAUSE 1 1 -2 | CLAUSE 2 2'
+    ),
+    'balanced': (
+        'VAR 1 TRUE 0 2 5 | VAR 1 FALSE 0 6 7 | VAR 2 TRUE 1 4 8 | VAR 2 FALSE 1 3 9 | '
+        'CLAUSECOLOR 1 clause1 | CLAUSECOLOR 2 clause2 | BALANCECOLOR balance | '
+        'CLAUSE 1 1 -2 | CLAUSE 2 2'
+    ),
+    '2pc': (
+        'VAR 1 TRUE 0 2 5 | VAR 1 FALSE 0 6 7 | VAR 2 TRUE 1 4 8 | VAR 2 FALSE 1 3 9 | '
+        'CLAUSECOLOR 1 clause1 | CLAUSECOLOR 2 clause2 | '
+        'BALANCECOLOR balance1 balance2 balance3 balance4 balance5 | '
+        'BALANCECYCLE 10 11 12 13 14 | CLAUSE 1 1 -2 | CLAUSE 2 2'
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(OLDER_MAPS))
+def test_older_maps_read_and_pull_back_as_before(variant, tmp_path, capsys):
+    older = OLDER_MAPS[variant].replace(" | ", "\n") + "\n"
+    assert bc.parse_gadget_map(older) == bc.gadget_map(bc.build_sat_graph(CNF_A, variant))
+    cnf, graph, gmap = tmp_path / "f.cnf", tmp_path / "g.graph", tmp_path / "g.map"
+    old_map, solution = tmp_path / "old.map", tmp_path / "g.sol"
+    cnf.write_text(dimacs(CNF_A))
+    old_map.write_text(older)
+    assert main(["reduce", "--cnf", str(cnf), "--variant", variant,
+                 "--output", str(graph), "--map", str(gmap)]) == 0
+    assert main(["clear", "--input", str(graph), "--objective", "tex",
+                 "--output", str(solution)]) == 0
+    capsys.readouterr()
+    outs = []
+    for path in (old_map, gmap):
+        assert main(["pullback", "--map", str(path), "--solution", str(solution)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == "x1 T\nx2 T\nsatisfied 2 of 2\n"

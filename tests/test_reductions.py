@@ -93,7 +93,7 @@ def test_balance_cnf_a():
     assert true_lens == [3, 3] and false_lens == [3, 3]
     assert art.num_balance == 5  # 1 + 2 + 1 + 1
     assert art.graph.color_count == 4
-    assert len(art.balance_colors) == 1
+    assert len({art.graph.vertex_colors[v] for v in art.balance_vertices}) == 1
 
 
 def test_balance_cnf_b():
