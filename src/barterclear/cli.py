@@ -4,11 +4,17 @@ Exit codes: 0 success (or decision "yes"), 1 decision "no", 2 input error,
 3 search budget exceeded, 4 internal failure (the solver ran out of stack
 or memory, e.g. the color search on a clearing of more than about 990
 disjoint cycles; the question is left unanswered).
+
+``clear``, ``reduce`` and ``gen`` write their outputs in place: an existing
+file is overwritten from its first byte and cut to the new length, never
+first truncated to zero, and nothing is fsynced.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from functools import cache
 from pathlib import Path
@@ -69,6 +75,17 @@ def _load_graph(args: argparse.Namespace):
     return parse_wantlist(text) if args.wantlist else parse_graph(text)
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as ``Path.write_text`` would, but over the
+    old bytes: a regular file is cut to the new length only after the write,
+    since truncating it to zero first makes its close start writeback."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w") as out:
+        out.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            out.truncate()  # flushes, then cuts at the end of the text
+
+
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="market file (a graph file by default)")
     sub.add_argument("--wantlist", action="store_true", help="input is a want-list")
@@ -95,7 +112,7 @@ def cmd_clear(args: argparse.Namespace) -> int:
     # a run never emits a solution it cannot verify
     metrics = validate_cycle_set(g, solution)
     text = serialize_solution(g, solution)
-    Path(args.output).write_text(text)
+    _write_output(args.output, text)
     report = RunReport(
         objective=args.objective,
         method=args.method,
@@ -131,8 +148,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     art = build_sat_graph(parse_dimacs(Path(args.cnf).read_text()), args.variant)
-    Path(args.output).write_text(serialize_graph(art.graph))
-    Path(args.map).write_text(serialize_gadget_map(gadget_map(art)))
+    _write_output(args.output, serialize_graph(art.graph))
+    _write_output(args.map, serialize_gadget_map(gadget_map(art)))
     print(f"vertices {art.graph.vertex_count}")
     print(f"colors {art.graph.color_count}")
     print(f"balance-vertices {art.num_balance}")
@@ -208,7 +225,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     g = gen_random(args.vertices, args.colors, args.edge_prob, args.seed)
-    Path(args.output).write_text(serialize_graph(g))
+    _write_output(args.output, serialize_graph(g))
     return EXIT_OK
 
 

@@ -11,11 +11,12 @@ the object back exactly.  Cycle text has one writer, ``serialize_solution``;
 a run report holds only its ``<key> <value>`` lines.
 
 Graph files are parsed in bulk: the text is split once, the record shapes
-are checked over all records at once, and names, labels and endpoints are
-sliced out of the flat tokens, with no Python loop over the records.  Only
-when a check fails does a record-at-a-time walk find the error to report,
-so the errors and their precedence are those of reading one record at a
-time.
+are checked over all records at once (text equal to its tokens rejoined as
+``K a b`` lines needs no second, per-line split), and names, labels and
+endpoints are sliced out of the flat tokens, with no Python loop over the
+records.  Only when a check fails does a record-at-a-time walk find the
+error to report, so the errors and their precedence are those of reading
+one record at a time.
 """
 
 from __future__ import annotations
@@ -128,16 +129,21 @@ def _graph_records(text: str) -> tuple[bytes, list[str], list[str]]:
     """The kind (``V`` or ``E``) of every record of a graph file, as bytes,
     and the first and second token after it, from one split of the text.
     Raises the file's first error unless every non-blank record has three
-    tokens and kind ``V`` or ``E``; the lines and the token list are freed
-    on return."""
-    lines = _lines(text)
-    tokens = ("\n".join(lines) if "#" in text else text).split()
-    kinds = tokens[0::3]
-    # three tokens per record, proved on the lines: a flat token stream
-    # cannot tell "V a" + "E V b c0" from two well-formed records
-    if not (set(map(len, map(str.split, lines))) <= {0, 3} and set(kinds) <= {"V", "E"}):
+    tokens and kind ``V`` or ``E``; the token list and the rejoined text
+    are freed on return."""
+    body = "\n".join(_lines(text)) if "#" in text else text
+    tokens = body.split()
+    kinds, firsts, seconds = tokens[0::3], tokens[1::3], tokens[2::3]
+    # three tokens per record: a flat token stream cannot tell "V a" +
+    # "E V b c0" from two well-formed records.  Text that is its own tokens
+    # rejoined as "K a b" lines proves it at once; any other is counted
+    # line by line
+    rejoined = "\n".join(map(" ".join, zip(kinds, firsts, seconds)))
+    proved = body.startswith(rejoined) and body[len(rejoined):] in ("", "\n")
+    if not ((proved or set(map(len, map(str.split, _lines(text)))) <= {0, 3})
+            and set(kinds) <= {"V", "E"}):
         raise _graph_error(text)
-    return "".join(kinds).encode(), tokens[1::3], tokens[2::3]
+    return "".join(kinds).encode(), firsts, seconds
 
 
 # record kinds V/E to the bytes 1/0 and 0/1: the selectors of ``compress``

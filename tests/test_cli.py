@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 
 import barterclear as bc
@@ -65,6 +68,7 @@ def test_clear_prints_the_report_keys_then_the_solution_file(conflict_file, tmp_
     runs.append(["tex", "approx"])
     for objective, method in runs:
         solution = tmp_path / f"{objective}-{method}.sol"
+        solution.write_text("C a b c\n" * 50)  # a longer output is overwritten, no tail left
         assert main(["clear", "--input", str(conflict_file), "--objective", objective,
                      "--method", method, "--output", str(solution)]) == 0
         lines = capsys.readouterr().out.splitlines(keepends=True)
@@ -72,6 +76,63 @@ def test_clear_prints_the_report_keys_then_the_solution_file(conflict_file, tmp_
         head, tail = lines[:len(expected)], lines[len(expected):]
         assert [line.split()[0] for line in head] == expected
         assert "".join(tail) == solution.read_text() != ""
+
+
+def test_reduce_and_gen_overwrite_longer_outputs_with_exactly_their_text(tmp_path, capsys):
+    cnf = tmp_path / "a.cnf"
+    cnf.write_text(DIMACS_A)
+    stale = "# stale\n" * 2000
+    texts = {}
+    for run in ("fresh", "stale"):
+        graph, gmap, market = (tmp_path / f"{run}.{ext}" for ext in ("graph", "map", "market"))
+        if run == "stale":
+            for path in (graph, gmap, market):
+                path.write_text(stale)
+        assert main(["reduce", "--cnf", str(cnf), "--output", str(graph),
+                     "--map", str(gmap)]) == 0
+        assert main(["gen", "--vertices", "8", "--colors", "3", "--edge-prob", "0.4",
+                     "--seed", "5", "--output", str(market)]) == 0
+        texts[run] = [path.read_text() for path in (graph, gmap, market)]
+    capsys.readouterr()
+    assert texts["stale"] == texts["fresh"]
+    assert all(0 < len(text) < len(stale) for text in texts["fresh"])
+
+
+def test_a_new_output_gets_the_mode_write_text_gives(tmp_path):
+    old = os.umask(0o027)
+    try:
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        market = tmp_path / "market.graph"
+        assert main(["gen", "--vertices", "8", "--colors", "3", "--edge-prob", "0.4",
+                     "--seed", "5", "--output", str(market)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(market.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_outputs_to_dev_null(conflict_file, capsys):
+    assert main(["clear", "--input", str(conflict_file), "--objective", "tex",
+                 "--output", "/dev/null"]) == 0
+    assert main(["gen", "--vertices", "8", "--colors", "3", "--edge-prob", "0.4",
+                 "--seed", "5", "--output", "/dev/null"]) == 0
+    assert "C a d\n" in capsys.readouterr().out
+
+
+def test_an_output_that_is_a_directory_is_an_input_error(conflict_file, tmp_path, capsys):
+    cnf = tmp_path / "a.cnf"
+    cnf.write_text(DIMACS_A)
+    for argv in (["clear", "--input", str(conflict_file), "--objective", "tex",
+                  "--output", str(tmp_path)],
+                 ["reduce", "--cnf", str(cnf), "--output", str(tmp_path / "g"),
+                  "--map", str(tmp_path)],
+                 ["gen", "--vertices", "8", "--colors", "3", "--edge-prob", "0.4",
+                  "--seed", "5", "--output", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 def test_decide_reads_a_wantlist_as_its_graph_file(tmp_path, capsys):

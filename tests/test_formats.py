@@ -48,6 +48,8 @@ def test_graph_parse_errors_carry_line_numbers():
         ("V a red\nE a\n", "line 2: E record needs <from-id> <to-id>"),
         ("V a red\nE a b\nE c a\n", "line 2: edge endpoint 'b' is not a declared vertex"),
         ("E a b\nX\n", "line 2: unknown record type 'X'"),
+        # 2 and 4 tokens on the lines, a well-formed 3 + 3 in the flat stream
+        ("V a\nE V b c0\n", "line 1: V record needs <vertex-id> <color-label>"),
     ):
         with pytest.raises(bc.ParseError, match=f"^{message}$"):
             bc.parse_graph(text)
