@@ -10,7 +10,17 @@ root come from a depth-first walk through the unused vertices above it that
 closes a cycle before extending it, so sets are visited in the
 lexicographic order of their canonical forms and the first optimum found is
 the least one.  The extensions from a root on are abandoned when an
-optimistic bound on them cannot beat the incumbent.
+optimistic bound on them, the vertices and the open colors left in the free
+set, cannot beat the incumbent.
+
+A cycle never leaves a strong component, so the search keeps only the edges
+inside one; the components come from one pass of Tarjan's algorithm with
+an explicit stack, in O(n + m).  The free set starts as the vertices on a
+cycle and is trimmed each time vertices leave it, when a chosen cycle takes
+them or a root is passed over: every vertex with no successor or no
+predecessor left in the set is dropped, repeatedly, starting from the
+neighbors of the vertices that left.  Every cycle inside the set survives
+the trim, so the bound stays optimistic and the visit order is unchanged.
 
 ``solve_with_stats(g, objective, budget)`` is the one way into the solvers,
 for all four objectives, and returns the search effort with the answer.
@@ -21,13 +31,10 @@ least canonical optimum.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from time import monotonic
-
-import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .assignment import max_size_successors, solve_max_size
 from .graph import (
@@ -84,10 +91,50 @@ class SearchBudget:
 @dataclass(frozen=True)
 class SearchStats:
     """``nodes`` counts the cycle sets visited plus the steps of the walks
-    that look for cycles."""
+    that look for cycles; the trims of the free set are not counted."""
 
     nodes: int
     seconds: float
+
+
+def _strong_components(succ: Sequence[Sequence[int]]) -> list[int]:
+    """The strong component label of each vertex: Tarjan's algorithm with
+    an explicit stack, in O(n + m)."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    label = [-1] * n
+    trail: list[int] = []  # Tarjan's stack of vertices without a label yet
+    count = labels = 0
+    for s in range(n):
+        if index[s] >= 0:
+            continue
+        index[s] = low[s] = count
+        count += 1
+        trail.append(s)
+        walk = [(s, iter(succ[s]))]
+        while walk:
+            v, successors = walk[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    trail.append(w)
+                    walk.append((w, iter(succ[w])))
+                    break
+                if label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                walk.pop()
+                if walk and low[v] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    w = -1
+                    while w != v:
+                        w = trail.pop()
+                        label[w] = labels
+                    labels += 1
+    return label
 
 
 class _CycleSearch:
@@ -95,23 +142,24 @@ class _CycleSearch:
     finished search leaves no reference cycle behind."""
 
     def __init__(self, g: ColoredDigraph, budget: SearchBudget, key_of, v_cap: int) -> None:
-        self.succ = g.out_neighbors
+        # only the edges inside a strong component can lie on a cycle, and a
+        # vertex lies on a cycle iff one of them leaves it
+        label = _strong_components(g.out_neighbors)
+        self.succ = [[w for w in ws if label[w] == label[v]]
+                     for v, ws in enumerate(g.out_neighbors)]
+        self.out_masks = [0] * g.vertex_count
+        self.in_masks = [0] * g.vertex_count
+        self.on_cycle = 0
+        for v, ws in enumerate(self.succ):
+            if ws:
+                self.on_cycle |= 1 << v
+            for w in ws:
+                self.out_masks[v] |= 1 << w
+                self.in_masks[w] |= 1 << v
+        self.neighbor_masks = [a | b for a, b in zip(self.out_masks, self.in_masks)]
         self.colors = g.vertex_colors.tolist()
         self.key_of = key_of
         self.v_cap = v_cap
-        # a vertex lies on a cycle iff it has a self-loop or a nontrivial
-        # strong component; a cycle never leaves its root's component
-        view = g.csr
-        adjacency = csr_array((np.ones(view.indices.size), view.indices, view.indptr),
-                              shape=(g.vertex_count, g.vertex_count))
-        _, labels = connected_components(adjacency, directed=True, connection="strong")
-        labels = labels.tolist()
-        members = [0] * g.vertex_count
-        for v, label in enumerate(labels):
-            members[label] |= 1 << v
-        self.component = [members[label] for label in labels]
-        self.on_cycle = sum(1 << v for v, mask in enumerate(self.component)
-                            if mask != 1 << v or v in self.succ[v])
         self.color_masks = [0] * g.color_count
         for v, c in enumerate(self.colors):
             if self.on_cycle >> v & 1:
@@ -133,9 +181,28 @@ class _CycleSearch:
         if self.nodes % 2048 == 0 and monotonic() > self.deadline:
             raise BudgetExceeded(f"time limit {self.time_limit}s exceeded")
 
-    def visit(self, start: int, used: int, v: int, covered: int) -> bool:
-        """Visit the chosen set, then its extensions by cycles rooted at
-        ``start`` or above; True once the incumbent cannot be beaten."""
+    def trim(self, free: int, gone: Iterable[int]) -> int:
+        """``free`` without every vertex that has no successor or no
+        predecessor left in it, repeatedly; only the neighbors of the
+        vertices in ``gone``, which left a trimmed set, need a look.  Every
+        cycle inside ``free`` survives."""
+        out_masks, in_masks, near = self.out_masks, self.in_masks, self.neighbor_masks
+        look = 0
+        for u in gone:
+            look |= near[u]
+        look &= free
+        while look:
+            bit = look & -look
+            look ^= bit
+            x = bit.bit_length() - 1
+            if not (out_masks[x] & free and in_masks[x] & free):
+                free ^= bit
+                look |= near[x] & free
+        return free
+
+    def visit(self, free: int, v: int, covered: int) -> bool:
+        """Visit the chosen set, then its extensions by cycles inside the
+        trimmed set ``free``; True once the incumbent cannot be beaten."""
         self.tick()
         key_of, uses, colors, chosen = self.key_of, self.uses, self.colors, self.chosen
         key = key_of(v, covered)
@@ -143,7 +210,6 @@ class _CycleSearch:
             self.best_key, self.best = key, tuple(chosen)
             if key == self.stop_key:
                 return True
-        free = self.on_cycle & ~used & -1 << start
         open_colors = [mask for c, mask in enumerate(self.color_masks)
                        if mask & free and not uses[c]]
         while free:
@@ -152,20 +218,21 @@ class _CycleSearch:
             bound = key_of(min(self.v_cap, v + free.bit_count()), covered + len(open_colors))
             if bound <= self.best_key:
                 return False
-            free ^= 1 << root
-            allowed = self.component[root] & free
+            allowed = free ^ 1 << root
+            free = self.trim(allowed, (root,))  # the set once this root is passed over
             path = [root]
             stack = [iter(self.succ[root])]
             while stack:
                 for w in stack[-1]:
                     if w == root:
-                        new, taken = 0, used
+                        new, taken = 0, 0
                         for u in path:
                             new += not uses[colors[u]]
                             uses[colors[u]] += 1
                             taken |= 1 << u
                         chosen.append(tuple(path))
-                        if self.visit(root + 1, taken, v + len(path), covered + new):
+                        if self.visit(self.trim(free & ~taken, path[1:]),
+                                      v + len(path), covered + new):
                             return True
                         chosen.pop()
                         for u in path:
@@ -201,7 +268,7 @@ def solve_with_stats(
     else:
         v_cap = sum(v >= 0 for v in max_size_successors(g))  # the vertices that trade
     search = _CycleSearch(g, budget or SearchBudget(), _KEYS[objective], v_cap)
-    search.visit(0, 0, 0, 0)
+    search.visit(search.on_cycle, 0, 0)
     return cycle_set_from_vertices(g, search.best), SearchStats(search.nodes, monotonic() - t0)
 
 

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import gc
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barterclear as bc
 from barterclear import Objective
+from barterclear.exact import _KEYS, _CycleSearch, _strong_components
 from conftest import CNF_A, CNF_B, objective_value, small_graphs
 
 EMPTY = bc.build_graph([], [])
@@ -177,6 +180,69 @@ def test_fault_gadgets_are_cleared_tropically():
         assert bc.is_tropical(art.graph, s)
         assignment = bc.extract_assignment(art, s)
         assert bc.satisfied_count(FAULT_CNF, assignment) == FAULT_CNF.num_clauses
+
+
+def test_fault_gadget_node_counts():
+    # before the search trimmed its free set and kept to strong components:
+    # plain 2755 / 13136 / 12825, balanced 6777 for all three objectives
+    want = {"plain": [239, 371, 437], "balanced": [443, 365, 443]}
+    for variant, counts in want.items():
+        g = bc.build_sat_graph(FAULT_CNF, variant).graph
+        assert [bc.solve_with_stats(g, objective)[1].nodes
+                for objective in COLOR_OBJECTIVES] == counts, variant
+
+
+def reachable(g, sources, inside):
+    """The vertices of ``inside`` reached from ``sources`` along edges
+    that stay in ``inside``, by breadth-first search."""
+    seen, frontier = set(), [v for v in sources if v in inside]
+    while frontier:
+        seen.update(frontier)
+        frontier = {w for v in frontier for w in g.out_neighbors[v]
+                    if w in inside and w not in seen}
+    return seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=small_graphs())
+def test_strong_components_are_mutual_reachability(g):
+    everything = set(range(g.vertex_count))
+    reach = [reachable(g, [v], everything) for v in everything]
+    label = _strong_components(g.out_neighbors)
+    for u in everything:
+        for v in everything:
+            assert (label[u] == label[v]) == (v in reach[u] and u in reach[v]), (u, v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(g=small_graphs(), data=st.data())
+def test_trim_keeps_every_cycle_of_the_set(g, data):
+    n = g.vertex_count
+    search = _CycleSearch(g, bc.SearchBudget(), _KEYS[Objective.MAX_COLORS], n)
+    subset = set(data.draw(st.sets(st.integers(0, max(n - 1, 0))))) & set(range(n))
+    trimmed = search.trim(sum(1 << v for v in subset) & search.on_cycle, range(n))
+    kept = {v for v in range(n) if trimmed >> v & 1}
+    assert kept <= subset
+    for v in subset:
+        if v in reachable(g, g.out_neighbors[v], subset):  # v closes a cycle in the subset
+            assert v in kept, v
+    for v in kept:  # nothing left to trim
+        assert set(g.out_neighbors[v]) & kept and {u for u in kept if v in g.out_neighbors[u]}
+    # a trimmed set that loses vertices needs a look only around them
+    gone = data.draw(st.sets(st.sampled_from(sorted(kept)))) if kept else set()
+    rest = trimmed & ~sum(1 << v for v in gone)
+    assert search.trim(rest, gone) == search.trim(rest, range(n))
+
+
+def test_long_chain_sets_up_in_linear_time():
+    # a 3000-vertex path into a 2-cycle: quadratic components or a
+    # recursive walk of the path would show here
+    n = 3000
+    g = bc.build_graph(list(range(n)), [(v, v + 1) for v in range(n - 1)] + [(n - 1, n - 2)])
+    start = perf_counter()
+    s, _ = bc.solve_with_stats(g, Objective.MAX_COLORS)
+    assert perf_counter() - start < 0.5
+    assert [bc.cycle_vertices(g, c) for c in s.cycles] == [(n - 2, n - 1)]
 
 
 def test_color_search_leaves_no_garbage():

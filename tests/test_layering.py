@@ -99,3 +99,11 @@ def test_cli_writes_files_only_through_its_writer():
     writes = file_writes((PACKAGE / "cli.py").read_text())
     assert writes, "the writer's own open is not seen"
     assert {scope for scope, _ in writes} == {"_write_output"}, writes
+
+
+def test_the_search_imports_neither_numpy_nor_scipy():
+    tree = ast.parse((PACKAGE / "exact.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {module.split(".")[0] for module in modules}.isdisjoint({"numpy", "scipy"}), modules
