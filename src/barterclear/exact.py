@@ -22,6 +22,13 @@ predecessor left in the set is dropped, repeatedly, starting from the
 neighbors of the vertices that left.  Every cycle inside the set survives
 the trim, so the bound stays optimistic and the visit order is unchanged.
 
+The vertex bound of ``tmaxex`` and ``maxtex`` is capped by v*, the most
+vertices any clearing trades, and a set of v* vertices that covers every
+color on a cycle ends the search.  The search counts v* itself from its
+in-component successor lists (``_max_size``): a Hopcroft–Karp matching,
+finished when it is not a set of cycles by shortest augmenting paths with
+potentials.  Only ``max-size`` calls the assignment layer.
+
 ``solve_with_stats(g, objective, budget)`` is the one way into the solvers,
 for all four objectives, and returns the search effort with the answer.
 ``brute_force_best`` is the independent ground-truth oracle: an enumeration
@@ -34,9 +41,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
+from math import inf
 from time import monotonic
 
-from .assignment import max_size_successors, solve_max_size
+from .assignment import solve_max_size
 from .graph import (
     ColoredDigraph,
     CycleSet,
@@ -137,11 +146,118 @@ def _strong_components(succ: Sequence[Sequence[int]]) -> list[int]:
     return label
 
 
+def _max_matching(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """A maximum matching of vertices to successors, as each vertex's
+    successor and each successor's vertex (-1 when unmatched): Hopcroft &
+    Karp (SIAM J. Comput. 1973), whose every phase augments along a maximal
+    set of vertex-disjoint shortest paths, found layer by layer."""
+    n = len(succ)
+    mate = [-1] * n
+    owner = [-1] * n
+    while True:
+        free = [v for v in range(n) if mate[v] < 0 and succ[v]]
+        layer = [-1] * n
+        for v in free:
+            layer[v] = 0
+        frontier, depth, found = free, 0, False
+        while frontier and not found:
+            depth += 1
+            grown = []
+            for v in frontier:
+                for w in succ[v]:
+                    u = owner[w]
+                    if u < 0:
+                        found = True
+                    elif layer[u] < 0:
+                        layer[u] = depth
+                        grown.append(u)
+            frontier = grown
+        if not found:
+            return mate, owner
+        ahead = [0] * n  # where each vertex's scan of its successors resumes
+        for s in free:
+            path = [s]
+            while path:
+                v = path[-1]
+                ws = succ[v]
+                for i in range(ahead[v], len(ws)):
+                    u = owner[ws[i]]
+                    if u < 0 or layer[u] == layer[v] + 1:
+                        ahead[v] = i + 1
+                        break
+                else:
+                    layer[v] = -1  # a dead end for the rest of the phase
+                    path.pop()
+                    continue
+                if u >= 0:
+                    path.append(u)
+                    continue
+                for v in path:  # each vertex takes the successor it went through
+                    w = succ[v][ahead[v] - 1]
+                    mate[v], owner[w] = w, v
+                break
+
+
+def _max_size(succ: Sequence[Sequence[int]]) -> int:
+    """The ``max-size`` optimum v*: the most vertices that vertex-disjoint
+    cycles along ``succ`` cover, a self-loop included.
+
+    A maximum matching of vertices to successors matches at least v*
+    vertices, and exactly v* when every matched successor is matched
+    itself, for the matching is then a set of cycles.  Otherwise it is
+    finished into a minimum-cost perfect matching, in which a successor
+    costs 0 and keeping the item costs 1, by shortest augmenting paths over
+    reduced costs with column potentials (the primal-dual scheme of Jonker &
+    Volgenant 1987); v* counts its successors.
+    """
+    n = len(succ)
+    mate, owner = _max_matching(succ)
+    if all(mate[w] >= 0 for w, v in enumerate(owner) if v >= 0):
+        return n - mate.count(-1)
+    keep = [int(v not in ws) for v, ws in enumerate(succ)]  # a real self-loop trades
+    # the matching costs 0, so zero potentials leave every reduced cost >= 0
+    price = [0] * n
+    dist = [inf] * n
+    via = [-1] * n
+    for s in range(n):
+        if mate[s] >= 0:
+            continue
+        # Dijkstra from s, stopped at the first free column it settles
+        reached, settled, heap = [], [], []
+        v, base = s, 0
+        while True:
+            for w in (*succ[v], v):  # the successors, then keeping the item
+                d = base - price[w] + (keep[v] if w == v else 0)
+                if d < dist[w]:
+                    if dist[w] == inf:
+                        reached.append(w)
+                    dist[w], via[w] = d, v
+                    heappush(heap, (d, w))
+            d, w = heappop(heap)
+            while d > dist[w]:  # a stale entry
+                d, w = heappop(heap)
+            v = owner[w]
+            if v < 0:
+                break
+            settled.append(w)
+            base = d + price[w] - (keep[v] if w == v else 0)
+        for x in settled:
+            price[x] += dist[x] - d
+        while v != s:
+            v = via[w]
+            owner[w] = v
+            mate[v], w = w, mate[v]
+        for x in reached:
+            dist[x] = inf
+    return n - sum(keep[v] for v in range(n) if mate[v] == v)
+
+
 class _CycleSearch:
     """The state of one search.  Methods rather than closures, so that a
     finished search leaves no reference cycle behind."""
 
-    def __init__(self, g: ColoredDigraph, budget: SearchBudget, key_of, v_cap: int) -> None:
+    def __init__(self, g: ColoredDigraph, budget: SearchBudget, key_of,
+                 v_cap: int | None = None) -> None:
         # only the edges inside a strong component can lie on a cycle, and a
         # vertex lies on a cycle iff one of them leaves it
         label = _strong_components(g.out_neighbors)
@@ -159,7 +275,7 @@ class _CycleSearch:
         self.neighbor_masks = [a | b for a, b in zip(self.out_masks, self.in_masks)]
         self.colors = g.vertex_colors.tolist()
         self.key_of = key_of
-        self.v_cap = v_cap
+        self.v_cap = _max_size(self.succ) if v_cap is None else v_cap
         self.color_masks = [0] * g.color_count
         for v, c in enumerate(self.colors):
             if self.on_cycle >> v & 1:
@@ -168,7 +284,7 @@ class _CycleSearch:
         self.chosen: list[tuple[int, ...]] = []
         self.best: tuple[tuple[int, ...], ...] = ()  # the empty set, visited first
         self.best_key = key_of(0, 0)
-        self.stop_key = key_of(v_cap, sum(1 for mask in self.color_masks if mask))
+        self.stop_key = key_of(self.v_cap, sum(1 for mask in self.color_masks if mask))
         self.nodes = 0
         self.node_limit = budget.node_limit
         self.time_limit = budget.time_limit
@@ -256,17 +372,16 @@ def solve_with_stats(
 ) -> tuple[CycleSet, SearchStats]:
     """Solve under any of the four objectives, reporting search effort.
 
-    The color-aware objectives search cycle sets with at most v* vertices:
-    the ``max-size`` optimum for ``tmaxex`` and ``maxtex``, the vertex count
-    for ``tex``, whose key ignores vertices.
+    ``max-size`` is the assignment layer's LAPJVsp solve.  The color-aware
+    objectives search cycle sets with at most v* vertices: for ``tmaxex``
+    and ``maxtex`` the ``max-size`` optimum, which the search counts from
+    its own successor lists, and for ``tex``, whose key ignores vertices,
+    the vertex count.
     """
     t0 = monotonic()
     if objective is Objective.MAX_VERTICES:
         return solve_max_size(g), SearchStats(0, monotonic() - t0)
-    if objective is Objective.MAX_COLORS:
-        v_cap = g.vertex_count
-    else:
-        v_cap = sum(v >= 0 for v in max_size_successors(g))  # the vertices that trade
+    v_cap = g.vertex_count if objective is Objective.MAX_COLORS else None
     search = _CycleSearch(g, budget or SearchBudget(), _KEYS[objective], v_cap)
     search.visit(search.on_cycle, 0, 0)
     return cycle_set_from_vertices(g, search.best), SearchStats(search.nodes, monotonic() - t0)

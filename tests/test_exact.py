@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import random
 from time import perf_counter
 
 import pytest
@@ -10,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barterclear as bc
+import barterclear.assignment
+import barterclear.exact
 from barterclear import Objective
-from barterclear.exact import _KEYS, _CycleSearch, _strong_components
+from barterclear.assignment import max_size_successors
+from barterclear.exact import _KEYS, _CycleSearch, _max_matching, _max_size, _strong_components
 from conftest import CNF_A, CNF_B, objective_value, small_graphs
 
 EMPTY = bc.build_graph([], [])
@@ -232,6 +236,75 @@ def test_trim_keeps_every_cycle_of_the_set(g, data):
     gone = data.draw(st.sets(st.sampled_from(sorted(kept)))) if kept else set()
     rest = trimmed & ~sum(1 << v for v in gone)
     assert search.trim(rest, gone) == search.trim(rest, range(n))
+
+
+def traded(g):
+    """v* by the assignment layer's LAPJVsp solve, the reference."""
+    return sum(v >= 0 for v in max_size_successors(g))
+
+
+def search_cap(g, objective=Objective.MAX_COLORS_AMONG_MAX_VERTICES):
+    return _CycleSearch(g, bc.SearchBudget(), _KEYS[objective]).v_cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_graphs())
+def test_search_cap_is_the_max_size_optimum(g):
+    # self-loops, parallel edges and graphs with no cycle all occur here
+    assert search_cap(g) == search_cap(g, Objective.MAX_VERTICES_AMONG_MAX_COLORS) == traded(g)
+    # the count needs no strong components, only successor lists
+    assert _max_size(g.out_neighbors) == traded(g)
+
+
+def test_search_cap_on_seeded_graphs_and_fault_gadgets():
+    rng = random.Random(11)
+    graphs = [bc.build_sat_graph(FAULT_CNF, variant).graph for variant in ("plain", "balanced")]
+    for _ in range(300):
+        n, k = rng.randint(1, 40), rng.randint(1, 5)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        graphs.append(bc.build_graph([v % k for v in range(n)], pairs))
+    for g in graphs:
+        assert search_cap(g) == traded(g)
+
+
+def test_search_cap_finishes_a_matching_that_is_not_a_set_of_cycles():
+    # two triangles sharing vertex 2: a maximum matching of vertices to
+    # successors matches four, but disjoint cycles cover only three
+    g = bc.build_graph([0, 0, 1, 1, 1], [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    mate, _ = _max_matching(g.out_neighbors)
+    assert sum(w >= 0 for w in mate) == 4
+    assert search_cap(g) == traded(g) == 3
+
+
+def test_search_cap_scales_to_markets():
+    # a 5000-item market with 5 distinct wants per item: finishing a greedy
+    # matching by shortest augmenting paths alone takes seconds here, and
+    # single augmenting paths from an empty matching about half a second,
+    # against about 0.05 s with Hopcroft-Karp's phases first
+    rng = random.Random(5)
+    n = 5000
+    edges = [(u, v + (v >= u)) for u in range(n) for v in rng.sample(range(n - 1), 5)]
+    g = bc.build_graph([v % 250 for v in range(n)], edges)
+    succ = _CycleSearch(g, bc.SearchBudget(), _KEYS[Objective.MAX_COLORS], n).succ
+    start = perf_counter()
+    count = _max_size(succ)
+    assert perf_counter() - start < 0.4
+    assert count == traded(g)
+
+
+def test_color_objectives_leave_the_assignment_layer_alone(monkeypatch, g_conflict):
+    graphs = [g_conflict, bc.gen_random(17, 5, 0.3, seed=4)]
+    before = [[bc.solve_with_stats(g, objective)[0] for objective in COLOR_OBJECTIVES]
+              for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the assignment layer was called")
+
+    monkeypatch.setattr(barterclear.assignment, "max_size_successors", refuse)
+    monkeypatch.setattr(barterclear.assignment, "min_weight_full_bipartite_matching", refuse)
+    monkeypatch.setattr(barterclear.exact, "solve_max_size", refuse)
+    assert [[bc.solve_with_stats(g, objective)[0] for objective in COLOR_OBJECTIVES]
+            for g in graphs] == before
 
 
 def test_long_chain_sets_up_in_linear_time():
