@@ -25,9 +25,10 @@ the trim, so the bound stays optimistic and the visit order is unchanged.
 The vertex bound of ``tmaxex`` and ``maxtex`` is capped by v*, the most
 vertices any clearing trades, and a set of v* vertices that covers every
 color on a cycle ends the search.  The search counts v* itself from its
-in-component successor lists (``_max_size``): a Hopcroft–Karp matching,
-finished when it is not a set of cycles by shortest augmenting paths with
-potentials.  Only ``max-size`` calls the assignment layer.
+in-component successor lists (``_max_size``): a greedy matching grown by
+augmenting paths, finished when it is not a set of cycles by shortest
+augmenting paths with potentials.  Only ``max-size`` calls the assignment
+layer.
 
 ``solve_with_stats(g, objective, budget)`` is the one way into the solvers,
 for all four objectives, and returns the search effort with the answer.
@@ -148,67 +149,53 @@ def _strong_components(succ: Sequence[Sequence[int]]) -> list[int]:
 
 def _max_matching(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """A maximum matching of vertices to successors, as each vertex's
-    successor and each successor's vertex (-1 when unmatched): Hopcroft &
-    Karp (SIAM J. Comput. 1973), whose every phase augments along a maximal
-    set of vertex-disjoint shortest paths, found layer by layer."""
+    successor and each successor's vertex (-1 when unmatched): each vertex
+    first takes its first free successor, then each vertex left unmatched
+    looks for one augmenting path by an iterative depth-first search (Kuhn
+    1955).  A vertex with no augmenting path never gains one later."""
     n = len(succ)
     mate = [-1] * n
     owner = [-1] * n
-    while True:
-        free = [v for v in range(n) if mate[v] < 0 and succ[v]]
-        layer = [-1] * n
-        for v in free:
-            layer[v] = 0
-        frontier, depth, found = free, 0, False
-        while frontier and not found:
-            depth += 1
-            grown = []
-            for v in frontier:
-                for w in succ[v]:
-                    u = owner[w]
-                    if u < 0:
-                        found = True
-                    elif layer[u] < 0:
-                        layer[u] = depth
-                        grown.append(u)
-            frontier = grown
-        if not found:
-            return mate, owner
-        ahead = [0] * n  # where each vertex's scan of its successors resumes
-        for s in free:
-            path = [s]
-            while path:
-                v = path[-1]
-                ws = succ[v]
-                for i in range(ahead[v], len(ws)):
-                    u = owner[ws[i]]
-                    if u < 0 or layer[u] == layer[v] + 1:
-                        ahead[v] = i + 1
-                        break
-                else:
-                    layer[v] = -1  # a dead end for the rest of the phase
-                    path.pop()
-                    continue
-                if u >= 0:
-                    path.append(u)
-                    continue
-                for v in path:  # each vertex takes the successor it went through
-                    w = succ[v][ahead[v] - 1]
-                    mate[v], owner[w] = w, v
+    for v, ws in enumerate(succ):
+        for w in ws:
+            if owner[w] < 0:
+                mate[v], owner[w] = w, v
                 break
+    seen = [-1] * n  # the vertex whose search last tried each successor
+    for s in range(n):
+        if mate[s] >= 0:
+            continue
+        walk = [(s, iter(succ[s]))]
+        while walk:
+            for w in walk[-1][1]:
+                if seen[w] == s:
+                    continue
+                seen[w] = s
+                u = owner[w]
+                if u >= 0:
+                    walk.append((u, iter(succ[u])))
+                    break
+                for v, _ in reversed(walk):  # each takes the successor that led on
+                    mate[v], w = w, mate[v]
+                    owner[mate[v]] = v
+                walk.clear()  # s is matched
+                break
+            else:
+                walk.pop()
+    return mate, owner
 
 
 def _max_size(succ: Sequence[Sequence[int]]) -> int:
     """The ``max-size`` optimum v*: the most vertices that vertex-disjoint
     cycles along ``succ`` cover, a self-loop included.
 
-    A maximum matching of vertices to successors matches at least v*
-    vertices, and exactly v* when every matched successor is matched
-    itself, for the matching is then a set of cycles.  Otherwise it is
-    finished into a minimum-cost perfect matching, in which a successor
-    costs 0 and keeping the item costs 1, by shortest augmenting paths over
-    reduced costs with column potentials (the primal-dual scheme of Jonker &
-    Volgenant 1987); v* counts its successors.
+    A maximum matching of vertices to successors (``_max_matching``)
+    matches at least v* vertices, and exactly v* when every matched
+    successor is matched itself, for the matching is then a set of cycles.
+    Otherwise it is finished into a minimum-cost perfect matching, in which
+    a successor costs 0 and keeping the item costs 1, by shortest augmenting
+    paths over reduced costs with column potentials (the primal-dual scheme
+    of Jonker & Volgenant 1987); v* counts its successors.
     """
     n = len(succ)
     mate, owner = _max_matching(succ)
@@ -256,8 +243,7 @@ class _CycleSearch:
     """The state of one search.  Methods rather than closures, so that a
     finished search leaves no reference cycle behind."""
 
-    def __init__(self, g: ColoredDigraph, budget: SearchBudget, key_of,
-                 v_cap: int | None = None) -> None:
+    def __init__(self, g: ColoredDigraph, budget: SearchBudget, key_of) -> None:
         # only the edges inside a strong component can lie on a cycle, and a
         # vertex lies on a cycle iff one of them leaves it
         label = _strong_components(g.out_neighbors)
@@ -275,7 +261,8 @@ class _CycleSearch:
         self.neighbor_masks = [a | b for a, b in zip(self.out_masks, self.in_masks)]
         self.colors = g.vertex_colors.tolist()
         self.key_of = key_of
-        self.v_cap = _max_size(self.succ) if v_cap is None else v_cap
+        # v* caps the vertex bound only when the key counts vertices
+        self.v_cap = _max_size(self.succ) if key_of(1, 0) > key_of(0, 0) else g.vertex_count
         self.color_masks = [0] * g.color_count
         for v, c in enumerate(self.colors):
             if self.on_cycle >> v & 1:
@@ -381,8 +368,7 @@ def solve_with_stats(
     t0 = monotonic()
     if objective is Objective.MAX_VERTICES:
         return solve_max_size(g), SearchStats(0, monotonic() - t0)
-    v_cap = g.vertex_count if objective is Objective.MAX_COLORS else None
-    search = _CycleSearch(g, budget or SearchBudget(), _KEYS[objective], v_cap)
+    search = _CycleSearch(g, budget or SearchBudget(), _KEYS[objective])
     search.visit(search.on_cycle, 0, 0)
     return cycle_set_from_vertices(g, search.best), SearchStats(search.nodes, monotonic() - t0)
 

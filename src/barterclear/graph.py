@@ -177,9 +177,7 @@ class ColoredDigraph:
         n = self.vertex_count
         keys, edge_ids = np.unique(self.tails * n + self.heads, return_index=True)
         rows, indices = np.divmod(keys, max(n, 1))
-        # scipy's sparse graph routines work on 32-bit indices
-        indptr = rows.searchsorted(np.arange(n + 1)).astype(np.int32)
-        view = (indptr, indices.astype(np.int32), edge_ids, keys)
+        view = (rows.searchsorted(np.arange(n + 1)), indices, edge_ids, keys)
         return CsrView(*map(_read_only, view))
 
     @cached_property

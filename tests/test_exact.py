@@ -6,9 +6,12 @@ import gc
 import random
 from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import barterclear as bc
 import barterclear.assignment
@@ -222,7 +225,7 @@ def test_strong_components_are_mutual_reachability(g):
 @given(g=small_graphs(), data=st.data())
 def test_trim_keeps_every_cycle_of_the_set(g, data):
     n = g.vertex_count
-    search = _CycleSearch(g, bc.SearchBudget(), _KEYS[Objective.MAX_COLORS], n)
+    search = _CycleSearch(g, bc.SearchBudget(), _KEYS[Objective.MAX_COLORS])
     subset = set(data.draw(st.sets(st.integers(0, max(n - 1, 0))))) & set(range(n))
     trimmed = search.trim(sum(1 << v for v in subset) & search.on_cycle, range(n))
     kept = {v for v in range(n) if trimmed >> v & 1}
@@ -247,6 +250,18 @@ def search_cap(g, objective=Objective.MAX_COLORS_AMONG_MAX_VERTICES):
     return _CycleSearch(g, bc.SearchBudget(), _KEYS[objective]).v_cap
 
 
+def matching_sizes(g):
+    """The size of ``_max_matching`` and of scipy's maximum matching of
+    vertices to successors."""
+    mate, _ = _max_matching(g.out_neighbors)
+    rows = [v for v, ws in enumerate(g.out_neighbors) for _ in ws]
+    cols = [w for ws in g.out_neighbors for w in ws]
+    n = g.vertex_count
+    successors = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    reference = maximum_bipartite_matching(successors, perm_type="column")
+    return n - mate.count(-1), int((reference >= 0).sum())
+
+
 @settings(max_examples=150, deadline=None)
 @given(g=small_graphs())
 def test_search_cap_is_the_max_size_optimum(g):
@@ -254,6 +269,8 @@ def test_search_cap_is_the_max_size_optimum(g):
     assert search_cap(g) == search_cap(g, Objective.MAX_VERTICES_AMONG_MAX_COLORS) == traded(g)
     # the count needs no strong components, only successor lists
     assert _max_size(g.out_neighbors) == traded(g)
+    ours, scipys = matching_sizes(g)
+    assert ours == scipys
 
 
 def test_search_cap_on_seeded_graphs_and_fault_gadgets():
@@ -265,6 +282,29 @@ def test_search_cap_on_seeded_graphs_and_fault_gadgets():
         graphs.append(bc.build_graph([v % k for v in range(n)], pairs))
     for g in graphs:
         assert search_cap(g) == traded(g)
+        ours, scipys = matching_sizes(g)
+        assert ours == scipys
+
+
+def test_search_cap_escapes_the_greedy_trap():
+    # vertex 0 takes itself first, which leaves vertex 1 nothing: only an
+    # augmenting path finds the 2-cycle
+    g = bc.build_graph([0, 0], [(0, 0), (0, 1), (1, 0)])
+    assert matching_sizes(g) == (2, 2)
+    assert search_cap(g) == traded(g) == 2
+
+
+def test_search_cap_follows_a_long_augmenting_path():
+    # each vertex but the last takes itself first, and the last wants only
+    # vertex 0: the one augmenting path runs through every vertex, deeper
+    # than Python's recursion limit
+    n = 3000
+    edges = [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+    g = bc.build_graph([0] * n, edges)
+    start = perf_counter()
+    cap = search_cap(g)
+    assert perf_counter() - start < 0.5
+    assert cap == traded(g) == n
 
 
 def test_search_cap_finishes_a_matching_that_is_not_a_set_of_cycles():
@@ -277,19 +317,31 @@ def test_search_cap_finishes_a_matching_that_is_not_a_set_of_cycles():
 
 
 def test_search_cap_scales_to_markets():
-    # a 5000-item market with 5 distinct wants per item: finishing a greedy
-    # matching by shortest augmenting paths alone takes seconds here, and
-    # single augmenting paths from an empty matching about half a second,
-    # against about 0.05 s with Hopcroft-Karp's phases first
+    # a 5000-item market with 5 distinct wants per item: a greedy matching
+    # grown by single augmenting paths takes about 0.2 s here, against
+    # about 0.05 s with Hopcroft-Karp's phases, 0.36 s for single augmenting
+    # paths from an empty matching, and seconds for finishing a greedy
+    # matching by shortest augmenting paths alone
     rng = random.Random(5)
     n = 5000
     edges = [(u, v + (v >= u)) for u in range(n) for v in rng.sample(range(n - 1), 5)]
     g = bc.build_graph([v % 250 for v in range(n)], edges)
-    succ = _CycleSearch(g, bc.SearchBudget(), _KEYS[Objective.MAX_COLORS], n).succ
+    succ = _CycleSearch(g, bc.SearchBudget(), _KEYS[Objective.MAX_COLORS]).succ
     start = perf_counter()
     count = _max_size(succ)
     assert perf_counter() - start < 0.4
     assert count == traded(g)
+
+
+def test_tex_does_not_count_the_vertex_cap(monkeypatch, g_conflict):
+    # tex's key ignores vertices, so the search needs no v*
+    def refuse(succ):
+        raise AssertionError("tex counted v*")
+
+    monkeypatch.setattr(barterclear.exact, "_max_size", refuse)
+    g = bc.build_sat_graph(FAULT_CNF, "balanced").graph
+    for graph in (g_conflict, g):
+        assert bc.is_tropical(graph, bc.solve_with_stats(graph, Objective.MAX_COLORS)[0])
 
 
 def test_color_objectives_leave_the_assignment_layer_alone(monkeypatch, g_conflict):
