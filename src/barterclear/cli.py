@@ -96,19 +96,23 @@ def _add_budget_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-secs", type=parse_float, default=SearchBudget().time_limit)
 
 
+def _print_counts(g, metrics) -> None:
+    print(f"vertices {metrics.vertex_count}")
+    print(f"colors {metrics.color_count} of {g.color_count}")
+
+
 def cmd_clear(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if args.no_self_trades:
         g = without_self_loops(g)
+    t0 = monotonic()
     if args.method == "approx":
-        t0 = monotonic()
         solution, guarantee = approx_jpc(g)
-        nodes, seconds = 0, monotonic() - t0
-        guarantee_text = str(guarantee)
+        nodes, guarantee_text = 0, str(guarantee)
     else:
         solution, stats = solve_with_stats(g, Objective(args.objective), _budget(args))
-        nodes, seconds = stats.nodes, stats.seconds
-        guarantee_text = ""
+        nodes, guarantee_text = stats.nodes, ""
+    seconds = monotonic() - t0
     # a run never emits a solution it cannot verify
     metrics = validate_cycle_set(g, solution)
     text = serialize_solution(g, solution)
@@ -141,8 +145,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     else:  # every color
         answer = metrics.color_count == g.color_count
     print("YES" if answer else "NO")
-    print(f"vertices {metrics.vertex_count}")
-    print(f"colors {metrics.color_count} of {g.color_count}")
+    _print_counts(g, metrics)
     return EXIT_OK if answer else EXIT_NO
 
 
@@ -202,9 +205,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raise ValueError(f"--{'sat' if args.sat else 'maxsat'} is not used with --graph")
         g = parse_graph(Path(args.graph_file).read_text())
         best = brute_force_best(g, Objective(args.objective))
-        metrics = validate_cycle_set(g, best)
-        print(f"vertices {metrics.vertex_count}")
-        print(f"colors {metrics.color_count} of {g.color_count}")
+        _print_counts(g, validate_cycle_set(g, best))
         sys.stdout.write(serialize_solution(g, best))
         return EXIT_OK
     if args.objective is not None:
@@ -232,8 +233,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(Path(args.graph_file).read_text())
     metrics = validate_cycle_set(g, parse_solution(Path(args.solution).read_text(), g))
-    print(f"vertices {metrics.vertex_count}")
-    print(f"colors {metrics.color_count} of {g.color_count}")
+    _print_counts(g, metrics)
     print(f"tropical {'yes' if metrics.color_count == g.color_count else 'no'}")
     return EXIT_OK
 

@@ -11,7 +11,8 @@ closes a cycle before extending it, so sets are visited in the
 lexicographic order of their canonical forms and the first optimum found is
 the least one.  The extensions from a root on are abandoned when an
 optimistic bound on them, the vertices and the open colors left in the free
-set, cannot beat the incumbent.
+set, cannot beat the incumbent.  A visit hands its extensions their whole
+state as arguments, so no step is undone on the way back.
 
 A cycle never leaves a strong component, so the search keeps only the edges
 inside one; the components come from one pass of Tarjan's algorithm with
@@ -25,10 +26,10 @@ the trim, so the bound stays optimistic and the visit order is unchanged.
 The vertex bound of ``tmaxex`` and ``maxtex`` is capped by v*, the most
 vertices any clearing trades, and a set of v* vertices that covers every
 color on a cycle ends the search.  The search counts v* itself from its
-in-component successor lists (``_max_size``): a greedy matching grown by
-augmenting paths, finished when it is not a set of cycles by shortest
-augmenting paths with potentials.  Only ``max-size`` calls the assignment
-layer.
+in-component successor lists (``_max_size``): a matching grown by one
+augmenting search per vertex, finished when it is not a set of cycles by
+shortest augmenting paths with potentials.  Only ``max-size`` calls the
+assignment layer.
 
 ``solve_with_stats(g, objective, budget)`` is the one way into the solvers,
 for all four objectives, and returns the search effort with the answer.
@@ -104,7 +105,6 @@ class SearchStats:
     that look for cycles; the trims of the free set are not counted."""
 
     nodes: int
-    seconds: float
 
 
 def _strong_components(succ: Sequence[Sequence[int]]) -> list[int]:
@@ -149,39 +149,37 @@ def _strong_components(succ: Sequence[Sequence[int]]) -> list[int]:
 
 def _max_matching(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """A maximum matching of vertices to successors, as each vertex's
-    successor and each successor's vertex (-1 when unmatched): each vertex
-    first takes its first free successor, then each vertex left unmatched
-    looks for one augmenting path by an iterative depth-first search (Kuhn
-    1955).  A vertex with no augmenting path never gains one later."""
+    successor and each successor's vertex (-1 when unmatched): each vertex in
+    turn runs one iterative augmenting search (Kuhn 1955), in which a vertex
+    reached takes a free successor if it has one and only otherwise leads on.
+    A vertex with no augmenting path never gains one later."""
     n = len(succ)
     mate = [-1] * n
     owner = [-1] * n
-    for v, ws in enumerate(succ):
-        for w in ws:
-            if owner[w] < 0:
-                mate[v], owner[w] = w, v
-                break
     seen = [-1] * n  # the vertex whose search last tried each successor
     for s in range(n):
-        if mate[s] >= 0:
-            continue
-        walk = [(s, iter(succ[s]))]
-        while walk:
-            for w in walk[-1][1]:
-                if seen[w] == s:
-                    continue
-                seen[w] = s
-                u = owner[w]
-                if u >= 0:
-                    walk.append((u, iter(succ[u])))
+        walk = []
+        u = s
+        while u >= 0:
+            walk.append((u, iter(succ[u])))
+            for w in succ[u]:
+                if owner[w] < 0:
                     break
-                for v, _ in reversed(walk):  # each takes the successor that led on
-                    mate[v], w = w, mate[v]
-                    owner[mate[v]] = v
-                walk.clear()  # s is matched
-                break
-            else:
-                walk.pop()
+            else:  # every successor of u is matched: lead on through an untried one
+                u = -1
+                while walk and u < 0:
+                    for w in walk[-1][1]:
+                        if seen[w] != s:
+                            seen[w] = s
+                            u = owner[w]
+                            break
+                    else:
+                        walk.pop()
+                continue
+            for v, _ in reversed(walk):  # each takes the successor that led on
+                mate[v], w = w, mate[v]
+                owner[mate[v]] = v
+            break
     return mate, owner
 
 
@@ -252,26 +250,23 @@ class _CycleSearch:
         self.out_masks = [0] * g.vertex_count
         self.in_masks = [0] * g.vertex_count
         self.on_cycle = 0
+        colors = g.vertex_colors.tolist()
+        color_masks = [0] * g.color_count  # each color's vertices on a cycle
         for v, ws in enumerate(self.succ):
             if ws:
                 self.on_cycle |= 1 << v
+                color_masks[colors[v]] |= 1 << v
             for w in ws:
                 self.out_masks[v] |= 1 << w
                 self.in_masks[w] |= 1 << v
         self.neighbor_masks = [a | b for a, b in zip(self.out_masks, self.in_masks)]
-        self.colors = g.vertex_colors.tolist()
         self.key_of = key_of
         # v* caps the vertex bound only when the key counts vertices
         self.v_cap = _max_size(self.succ) if key_of(1, 0) > key_of(0, 0) else g.vertex_count
-        self.color_masks = [0] * g.color_count
-        for v, c in enumerate(self.colors):
-            if self.on_cycle >> v & 1:
-                self.color_masks[c] |= 1 << v
-        self.uses = [0] * g.color_count
-        self.chosen: list[tuple[int, ...]] = []
+        self.open_colors = [mask for mask in color_masks if mask]
         self.best: tuple[tuple[int, ...], ...] = ()  # the empty set, visited first
         self.best_key = key_of(0, 0)
-        self.stop_key = key_of(self.v_cap, sum(1 for mask in self.color_masks if mask))
+        self.stop_key = key_of(self.v_cap, len(self.open_colors))
         self.nodes = 0
         self.node_limit = budget.node_limit
         self.time_limit = budget.time_limit
@@ -303,43 +298,40 @@ class _CycleSearch:
                 look |= near[x] & free
         return free
 
-    def visit(self, free: int, v: int, covered: int) -> bool:
-        """Visit the chosen set, then its extensions by cycles inside the
-        trimmed set ``free``; True once the incumbent cannot be beaten."""
+    def visit(self, chosen: tuple[tuple[int, ...], ...], free: int, v: int, covered: int,
+              open_colors: list[int]) -> bool:
+        """Visit the ``chosen`` cycles, with ``v`` vertices and ``covered``
+        colors, then their extensions inside the trimmed set ``free``, whose
+        uncovered colors all have their vertex masks in ``open_colors``, in
+        color order.  True once the incumbent cannot be beaten."""
         self.tick()
-        key_of, uses, colors, chosen = self.key_of, self.uses, self.colors, self.chosen
+        key_of = self.key_of
         key = key_of(v, covered)
         if key > self.best_key:
-            self.best_key, self.best = key, tuple(chosen)
+            self.best_key, self.best = key, chosen
             if key == self.stop_key:
                 return True
-        open_colors = [mask for c, mask in enumerate(self.color_masks)
-                       if mask & free and not uses[c]]
         while free:
             root = (free & -free).bit_length() - 1
             open_colors = [mask for mask in open_colors if mask & free]
             bound = key_of(min(self.v_cap, v + free.bit_count()), covered + len(open_colors))
             if bound <= self.best_key:
                 return False
-            allowed = free ^ 1 << root
+            before, allowed = free, free ^ 1 << root
             free = self.trim(allowed, (root,))  # the set once this root is passed over
             path = [root]
             stack = [iter(self.succ[root])]
             while stack:
                 for w in stack[-1]:
                     if w == root:
-                        new, taken = 0, 0
-                        for u in path:
-                            new += not uses[colors[u]]
-                            uses[colors[u]] += 1
-                            taken |= 1 << u
-                        chosen.append(tuple(path))
-                        if self.visit(self.trim(free & ~taken, path[1:]),
-                                      v + len(path), covered + new):
+                        # the open colors are all uncovered ones with a vertex
+                        # in before, so the ones the cycle meets are newly covered
+                        taken = before ^ allowed  # the root and the path
+                        left = [mask for mask in open_colors if not mask & taken]
+                        if self.visit((*chosen, tuple(path)), self.trim(free & ~taken, path[1:]),
+                                      v + len(path), covered + len(open_colors) - len(left),
+                                      left):
                             return True
-                        chosen.pop()
-                        for u in path:
-                            uses[colors[u]] -= 1
                     elif allowed >> w & 1:
                         self.tick()
                         allowed ^= 1 << w
@@ -365,12 +357,11 @@ def solve_with_stats(
     its own successor lists, and for ``tex``, whose key ignores vertices,
     the vertex count.
     """
-    t0 = monotonic()
     if objective is Objective.MAX_VERTICES:
-        return solve_max_size(g), SearchStats(0, monotonic() - t0)
+        return solve_max_size(g), SearchStats(0)
     search = _CycleSearch(g, budget or SearchBudget(), _KEYS[objective])
-    search.visit(search.on_cycle, 0, 0)
-    return cycle_set_from_vertices(g, search.best), SearchStats(search.nodes, monotonic() - t0)
+    search.visit((), search.on_cycle, 0, 0, search.open_colors)
+    return cycle_set_from_vertices(g, search.best), SearchStats(search.nodes)
 
 
 def brute_force_best(g: ColoredDigraph, objective: Objective) -> CycleSet:

@@ -317,11 +317,12 @@ def test_search_cap_finishes_a_matching_that_is_not_a_set_of_cycles():
 
 
 def test_search_cap_scales_to_markets():
-    # a 5000-item market with 5 distinct wants per item: a greedy matching
-    # grown by single augmenting paths takes about 0.2 s here, against
-    # about 0.05 s with Hopcroft-Karp's phases, 0.36 s for single augmenting
-    # paths from an empty matching, and seconds for finishing a greedy
-    # matching by shortest augmenting paths alone
+    # a 5000-item market with 5 distinct wants per item, on a 2-vCPU VM: one
+    # augmenting search per item, each item reached taking a free successor
+    # first, counts v* in 0.11-0.20 s, against 0.3-0.6 s for a greedy pass
+    # then plain augmenting paths, about 0.05 s with Hopcroft-Karp's phases,
+    # and seconds for finishing a greedy matching by shortest augmenting
+    # paths alone
     rng = random.Random(5)
     n = 5000
     edges = [(u, v + (v >= u)) for u in range(n) for v in rng.sample(range(n - 1), 5)]
@@ -331,6 +332,23 @@ def test_search_cap_scales_to_markets():
     count = _max_size(succ)
     assert perf_counter() - start < 0.4
     assert count == traded(g)
+
+
+def test_market_node_counts_stay_pinned():
+    # 40 seeded markets shaped like the colors-market benchmark's: 17 items
+    # of 5 agents, 2 distinct wants per item.  The totals move only when the
+    # search's pruning or visit order does; with the vertex cap loosened to
+    # the matching size alone, tmaxex and maxtex read 5958.
+    rng = random.Random(2026)
+    graphs = []
+    for _ in range(40):
+        agents = [v % 5 for v in range(17)]
+        rng.shuffle(agents)
+        edges = [(u, v + (v >= u)) for u in range(17) for v in rng.sample(range(16), 2)]
+        graphs.append(bc.build_graph(agents, edges))
+    totals = {objective.value: sum(bc.solve_with_stats(g, objective)[1].nodes for g in graphs)
+              for objective in COLOR_OBJECTIVES}
+    assert totals == {"tex": 881, "tmaxex": 4756, "maxtex": 4756}
 
 
 def test_tex_does_not_count_the_vertex_cap(monkeypatch, g_conflict):
