@@ -5,6 +5,10 @@ Exit codes: 0 success (or decision "yes"), 1 decision "no", 2 input error,
 or memory, e.g. the color search on a clearing of more than about 990
 disjoint cycles; the question is left unanswered).
 
+``main`` hands a command's arguments straight to that command's parser, so
+each argument is classified once; an argument a command does not know is
+reported with the command's usage line, exit code 2.
+
 ``clear``, ``reduce`` and ``gen`` write their outputs in place: an existing
 file is overwritten from its first byte and cut to the new length, never
 first truncated to zero, and nothing is fsynced.
@@ -239,9 +243,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: building it costs about
-    ten times as much as a parse."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommands' parsers by name, built once
+    per process: building them costs about ten times as much as a parse."""
     parser = argparse.ArgumentParser(
         prog="barterclear",
         description="Barter-exchange clearing over vertex-colored trading graphs",
@@ -306,11 +310,20 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--solution", required=True)
     verify.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run the command ``argv`` names (``sys.argv[1:]`` when None) and
+    return its exit code.  A command's arguments go straight to its own
+    parser, as argparse's top-level pass would only classify them once more;
+    the top-level parser reads only an argv that names no command, such as
+    an empty one or ``-h``."""
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -17,6 +17,13 @@ endpoints are sliced out of the flat tokens, with no Python loop over the
 records.  Only when a check fails does a record-at-a-time walk find the
 error to report, so the errors and their precedence are those of reading
 one record at a time.
+
+Both graph parsers build the graph from the arrays they made, without
+``build_graph``'s checks: their parse already proves each of them.  Names
+are unique, labels are unique and color ids dense (both come from a
+first-appearance dict), every endpoint is declared, and every name and
+label is one token with no whitespace and no ``#``, since tokens come from
+``str.split`` after comments are stripped.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .graph import (
     canonical_cycle_vertices,
     cycle_set_from_vertices,
     NonexistentEdge,
+    _graph,
 )
 from .sat import CnfInstance, EmptyClause, LiteralOutOfRange
 
@@ -122,7 +130,7 @@ def parse_graph(text: str) -> ColoredDigraph:
     labels = list(compress(seconds, is_v))
     unique_labels = dict.fromkeys(labels)
     colors = _vertex_ids(labels, dict(zip(unique_labels, range(len(unique_labels)))), len(labels))
-    return build_graph(colors, np.array([tails, heads]).T, list(unique_labels), names)
+    return _graph(colors, tails, heads, tuple(unique_labels), tuple(names))
 
 
 def _graph_records(text: str) -> tuple[bytes, list[str], list[str]]:
@@ -261,8 +269,8 @@ def parse_wantlist(text: str) -> ColoredDigraph:
         want_counts.append(len(tokens) - 3)
         wanted += tokens[3:]
 
-    names = list(index)
-    tails = np.repeat(np.arange(len(names)), want_counts)
+    names = tuple(index)
+    tails = np.repeat(np.arange(len(names), dtype=np.intp), want_counts)
     try:
         heads = _vertex_ids(wanted, index, len(wanted))
     except KeyError:
@@ -270,7 +278,7 @@ def parse_wantlist(text: str) -> ColoredDigraph:
         u = int(tails[i])
         raise UnknownWantedItem(f"{names[u]!r} wants undeclared item {want!r}",
                                 item_lines[u]) from None
-    return build_graph(colors, np.stack([tails, heads], axis=1), list(agent_ids), names)
+    return _graph(np.array(colors, dtype=np.intp), tails, heads, tuple(agent_ids), names)
 
 
 def serialize_wantlist(g: ColoredDigraph) -> str:

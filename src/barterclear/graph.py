@@ -20,6 +20,9 @@ per-edge tuple ``g.edges`` is left to code that walks a whole graph.  All
 objects here are immutable values that compare by value; operations are
 pure.
 
+``build_graph`` checks every invariant of a graph; the text parsers, whose
+parse proves them, hand their fresh arrays to the private ``_graph`` instead.
+
 Tuples made once per solution are built from lists, not from iterators:
 CPython resizes a tuple built from an iterator of unknown length, and such
 a tuple, once freed, stays on the interpreter's free list for its size
@@ -125,7 +128,8 @@ class ColoredDigraph:
     The graph names its own items and agents: ``vertex_names[v]`` is the
     unique name of vertex ``v`` and ``color_labels[c]`` the unique name of
     color ``c``, each a single token of the text formats.  Build graphs
-    with ``build_graph``, which sets and checks all of this.
+    with ``build_graph``, which sets and checks all of this, or read them
+    with ``parse_graph`` or ``parse_wantlist``, whose parse proves it.
 
     ``csr`` is the one cached view of the distinct edges that successors,
     edge-id lookups and the assignment cost matrix derive from; ``edges``
@@ -276,6 +280,13 @@ def build_graph(
         raise ValueError(f"edge {eid} endpoint out of range: {tuple(ends[eid].tolist())}")
 
     tails, heads = ends.T.copy()
+    return _graph(colors, tails, heads, labels, names)
+
+
+def _graph(colors: np.ndarray, tails: np.ndarray, heads: np.ndarray,
+           labels: tuple[str, ...], names: tuple[str, ...]) -> ColoredDigraph:
+    """The graph of parts that hold every invariant ``build_graph`` checks,
+    with ``intp`` arrays that the graph takes over and makes read-only."""
     return ColoredDigraph(*map(_read_only, (colors, tails, heads)), labels, names)
 
 

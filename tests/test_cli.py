@@ -8,7 +8,7 @@ import stat
 import pytest
 
 import barterclear as bc
-from barterclear.cli import main
+from barterclear.cli import _build_parser, main
 
 CONFLICT_GRAPH = (
     "V a red\nV b red\nV c red\nV d blue\n"
@@ -439,6 +439,7 @@ def test_main_runs_repeatedly_in_one_process(conflict_file, tmp_path, capsys):
         assert main(["decide", "--input", str(conflict_file), "--objective", "exchange-x",
                      "--x", "3"]) == 0
         assert capsys.readouterr().out.startswith("YES")
+    assert _build_parser.cache_info().misses == 1  # the parsers are built once
 
 
 def test_internal_failure_exit_code(tmp_path, capsys):
@@ -514,3 +515,44 @@ def test_integer_options_follow_the_format_integer_rule(argv, tmp_path, monkeypa
     err = capsys.readouterr().err
     assert "invalid" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: barterclear "),
+    (["--help"], "usage: barterclear "),
+    (["clear", "-h"], "usage: barterclear clear "),
+    (["verify", "--help"], "usage: barterclear verify "),
+])
+def test_help_exits_0_with_its_usage(argv, usage, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(usage)
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["--bogus"], ["-x", "clear"]])
+def test_a_missing_or_unknown_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: barterclear ") and "Traceback" not in err
+
+
+def test_an_unknown_option_after_a_command_exits_2(conflict_file, tmp_path, capsys):
+    solution = tmp_path / "out.sol"
+    with pytest.raises(SystemExit) as exc:
+        main(["clear", "--input", str(conflict_file), "--objective", "tex",
+              "--output", str(solution), "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert not solution.exists()
+
+
+def test_main_reads_sys_argv_when_given_no_argv(conflict_file, tmp_path, monkeypatch, capsys):
+    solution = tmp_path / "out.sol"
+    monkeypatch.setattr("sys.argv", ["barterclear", "clear", "--input", str(conflict_file),
+                                     "--objective", "tex", "--output", str(solution)])
+    assert main() == 0
+    assert bc.parse_report(capsys.readouterr().out).color_count == 2
+    assert solution.exists()

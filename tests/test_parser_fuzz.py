@@ -4,10 +4,12 @@ errors), which the CLI reports as input errors with exit code 2."""
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barterclear as bc
+from conftest import small_graphs
 
 # whole records and record heads of each format, to be followed by a few
 # more tokens: names and numbers of every format plus awkward ones
@@ -61,3 +63,20 @@ def test_parsers_raise_only_value_errors(text):
         except Exception as exc:
             raise AssertionError(f"{name} raised {type(exc).__name__}") from exc
 
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(TEXTS, small_graphs().map(bc.serialize_graph),
+                      small_graphs().map(bc.serialize_wantlist)))
+def test_graph_parsers_build_the_graph_build_graph_builds(text):
+    # the parsers skip build_graph's checks, which their own parse proves
+    for parse in (bc.parse_graph, bc.parse_wantlist):
+        try:
+            g = parse(text)
+        except ValueError:
+            continue
+        built = bc.build_graph(g.vertex_colors.tolist(), list(g.edges),
+                               list(g.color_labels), list(g.vertex_names))
+        assert built == g
+        for h in (g, built):
+            for a in (h.vertex_colors, h.tails, h.heads):
+                assert a.dtype == np.intp and not a.flags.writeable
