@@ -9,9 +9,14 @@ disjoint cycles; the question is left unanswered).
 each argument is classified once; an argument a command does not know is
 reported with the command's usage line, exit code 2.
 
-``clear``, ``reduce`` and ``gen`` write their outputs in place: an existing
-file is overwritten from its first byte and cut to the new length, never
-first truncated to zero, and nothing is fsynced.
+Every file is read and written as UTF-8, whatever the locale, through one
+reader and one writer.  The reader decodes the raw bytes and keeps their
+line ends: every parser splits lines with ``str.splitlines`` or
+``str.split``, which read ``\r\n`` and ``\r`` as text mode would, so a
+CRLF or CR file gives the answers and errors of its LF copy.  ``clear``,
+``reduce`` and ``gen`` write their outputs in place, with ``\n`` line ends:
+an existing file is overwritten from its first byte and cut to the new
+length, never first truncated to zero, and nothing is fsynced.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import os
 import stat
 import sys
 from functools import cache
-from pathlib import Path
 from time import monotonic
 
 from .approx import approx_jpc
@@ -74,20 +78,32 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
     return SearchBudget(node_limit=args.budget_nodes, time_limit=args.budget_secs)
 
 
+def _read(path: str) -> str:
+    """The text of the file at ``path``, decoded as UTF-8, line ends kept."""
+    with open(path, "rb", buffering=0) as f:
+        return f.read().decode("utf-8")
+
+
 def _load_graph(args: argparse.Namespace):
-    text = Path(args.input).read_text()
+    text = _read(args.input)
     return parse_wantlist(text) if args.wantlist else parse_graph(text)
 
 
 def _write_output(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` as ``Path.write_text`` would, but over the
-    old bytes: a regular file is cut to the new length only after the write,
-    since truncating it to zero first makes its close start writeback."""
+    """Write ``text`` to ``path`` as UTF-8 over the old bytes, with as many
+    ``os.write`` calls as it takes: a regular file is cut to the new length
+    only after the write, since truncating it to zero first makes its close
+    start writeback.  A new file gets the mode ``Path.write_text`` gives."""
+    data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "w") as out:
-        out.write(text)
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            out.truncate()  # flushes, then cuts at the end of the text
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
@@ -154,7 +170,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    art = build_sat_graph(parse_dimacs(Path(args.cnf).read_text()), args.variant)
+    art = build_sat_graph(parse_dimacs(_read(args.cnf)), args.variant)
     _write_output(args.output, serialize_graph(art.graph))
     _write_output(args.map, serialize_gadget_map(gadget_map(art)))
     print(f"vertices {art.graph.vertex_count}")
@@ -169,8 +185,8 @@ def _rotated(cycle: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def cmd_pullback(args: argparse.Namespace) -> int:
-    gm = parse_gadget_map(Path(args.map).read_text())
-    cycles = parse_cycles(Path(args.solution).read_text())
+    gm = parse_gadget_map(_read(args.map))
+    cycles = parse_cycles(_read(args.solution))
     # record by record, a repeated vertex before an overlap, as verify checks;
     # a gadget names its vertices by their ids, so the lowest id of an
     # overlap is its shortest, then least, name
@@ -207,7 +223,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raise ValueError("--objective is required with --graph")
         if args.sat or args.maxsat:
             raise ValueError(f"--{'sat' if args.sat else 'maxsat'} is not used with --graph")
-        g = parse_graph(Path(args.graph_file).read_text())
+        g = parse_graph(_read(args.graph_file))
         best = brute_force_best(g, Objective(args.objective))
         _print_counts(g, validate_cycle_set(g, best))
         sys.stdout.write(serialize_solution(g, best))
@@ -216,7 +232,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("--objective is not used with --cnf")
     if not args.sat and not args.maxsat:
         raise ValueError("--sat or --maxsat is required with --cnf")
-    cnf = parse_dimacs(Path(args.cnf).read_text())
+    cnf = parse_dimacs(_read(args.cnf))
     if args.sat:
         answer = is_satisfiable(cnf)
         print("SATISFIABLE" if answer else "UNSATISFIABLE")
@@ -235,8 +251,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = parse_graph(Path(args.graph_file).read_text())
-    metrics = validate_cycle_set(g, parse_solution(Path(args.solution).read_text(), g))
+    g = parse_graph(_read(args.graph_file))
+    metrics = validate_cycle_set(g, parse_solution(_read(args.solution), g))
     _print_counts(g, metrics)
     print(f"tropical {'yes' if metrics.color_count == g.color_count else 'no'}")
     return EXIT_OK

@@ -14,14 +14,18 @@ optimistic bound on them, the vertices and the open colors left in the free
 set, cannot beat the incumbent.  A visit hands its extensions their whole
 state as arguments, so no step is undone on the way back.
 
-A cycle never leaves a strong component, so the search keeps only the edges
-inside one; the components come from one pass of Tarjan's algorithm with
-an explicit stack, in O(n + m).  The free set starts as the vertices on a
-cycle and is trimmed each time vertices leave it, when a chosen cycle takes
-them or a root is passed over: every vertex with no successor or no
-predecessor left in the set is dropped, repeatedly, starting from the
-neighbors of the vertices that left.  Every cycle inside the set survives
-the trim, so the bound stays optimistic and the visit order is unchanged.
+The search reads the graph's edges once, into a map per vertex from each
+successor to the lowest edge id that leads there: its ascending successor
+lists come from that map, and so does each edge id of the cycle set it
+returns.  A color solve builds no CSR view of the graph.  A cycle never
+leaves a strong component, so the search keeps only the edges inside one;
+the components come from one pass of Tarjan's algorithm with an explicit
+stack, in O(n + m).  The free set starts as the vertices on a cycle and is
+trimmed each time vertices leave it, when a chosen cycle takes them or a
+root is passed over: every vertex with no successor or no predecessor left
+in the set is dropped, repeatedly, starting from the neighbors of the
+vertices that left.  Every cycle inside the set survives the trim, so the
+bound stays optimistic and the visit order is unchanged.
 
 The vertex bound of ``tmaxex`` and ``maxtex`` is capped by v*, the most
 vertices any clearing trades, and a set of v* vertices that covers every
@@ -50,6 +54,7 @@ from time import monotonic
 from .assignment import solve_max_size
 from .graph import (
     ColoredDigraph,
+    Cycle,
     CycleSet,
     cycle_set_from_vertices,
     successor_cycles,
@@ -242,11 +247,18 @@ class _CycleSearch:
     finished search leaves no reference cycle behind."""
 
     def __init__(self, g: ColoredDigraph, budget: SearchBudget, key_of) -> None:
+        # one pass over the edges, last to first, leaves each vertex's map
+        # from a successor to the lowest edge id that leads there
+        tails, heads = g.tails.tolist(), g.heads.tolist()
+        self.edge_ids: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+        for e in range(len(tails) - 1, -1, -1):
+            self.edge_ids[tails[e]][heads[e]] = e
+        out_neighbors = [sorted(ids) for ids in self.edge_ids]
         # only the edges inside a strong component can lie on a cycle, and a
         # vertex lies on a cycle iff one of them leaves it
-        label = _strong_components(g.out_neighbors)
+        label = _strong_components(out_neighbors)
         self.succ = [[w for w in ws if label[w] == label[v]]
-                     for v, ws in enumerate(g.out_neighbors)]
+                     for v, ws in enumerate(out_neighbors)]
         self.out_masks = [0] * g.vertex_count
         self.in_masks = [0] * g.vertex_count
         self.on_cycle = 0
@@ -271,6 +283,12 @@ class _CycleSearch:
         self.node_limit = budget.node_limit
         self.time_limit = budget.time_limit
         self.deadline = monotonic() + budget.time_limit
+
+    def best_cycle_set(self) -> CycleSet:
+        """The incumbent as a cycle set, each step on its lowest edge id."""
+        ids = self.edge_ids
+        return CycleSet(tuple([Cycle(tuple([ids[u][w] for u, w in zip(c, (*c[1:], c[0]))]))
+                               for c in self.best]))
 
     def tick(self) -> None:
         self.nodes += 1
@@ -361,7 +379,7 @@ def solve_with_stats(
         return solve_max_size(g), SearchStats(0)
     search = _CycleSearch(g, budget or SearchBudget(), _KEYS[objective])
     search.visit((), search.on_cycle, 0, 0, search.open_colors)
-    return cycle_set_from_vertices(g, search.best), SearchStats(search.nodes)
+    return search.best_cycle_set(), SearchStats(search.nodes)
 
 
 def brute_force_best(g: ColoredDigraph, objective: Objective) -> CycleSet:

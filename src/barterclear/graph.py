@@ -11,9 +11,11 @@ why cycles are stored as sequences of edge ids rather than vertex ids.
 A graph stores its vertex colors and edge endpoints as read-only int
 arrays, and derives one cached CSR view of its distinct edges, each with
 its lowest edge id; successor lists, edge-id lookups and the assignment
-cost matrix all come from that view; ``cycle_set_from_vertices`` alone
-turns vertices into edge ids, one lookup per cycle set, for the solvers
-and the solution files.  Validation and canonical forms read
+cost matrix all come from that view.  ``cycle_set_from_vertices`` turns
+vertices into edge ids, one lookup per cycle set, for ``max-size``, the
+oracle and the solution files; the color search keeps the lowest edge id
+of each of its own steps and builds its cycle sets from those, with no
+lookup and no CSR view.  Validation and canonical forms read
 the endpoints of all of a cycle set's edges with one gather from the
 ``tails`` and ``heads`` arrays, and check the cycles on those lists; the
 per-edge tuple ``g.edges`` is left to code that walks a whole graph.  All

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import barterclear as bc
-from barterclear.cli import _build_parser, main
+from barterclear.cli import _build_parser, _write_output, main
 
 CONFLICT_GRAPH = (
     "V a red\nV b red\nV c red\nV d blue\n"
@@ -556,3 +559,102 @@ def test_main_reads_sys_argv_when_given_no_argv(conflict_file, tmp_path, monkeyp
     assert main() == 0
     assert bc.parse_report(capsys.readouterr().out).color_count == 2
     assert solution.exists()
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale with neither UTF-8 mode nor locale coercion; stdout
+    # keeps the console's encoding, so it is set apart
+    graph, solution = tmp_path / "m.graph", tmp_path / "m.sol"
+    graph.write_bytes("V épice café\nV b thé\nE épice b\nE b épice\n".encode("utf-8"))
+    src = str(Path(bc.__file__).parent.parent)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cli = [sys.executable, "-m", "barterclear.cli"]
+    run = subprocess.run(cli + ["clear", "--input", str(graph), "--objective", "tex",
+                                "--output", str(solution)],
+                         env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert solution.read_bytes() == "C épice b\n".encode("utf-8")
+    run = subprocess.run(cli + ["verify", "--graph", str(graph), "--solution", str(solution)],
+                         env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == b"vertices 2\ncolors 2 of 2\ntropical yes\n"
+
+
+_GADGET_MAP = bc.serialize_gadget_map(bc.gadget_map(bc.build_sat_graph(
+    bc.parse_dimacs(DIMACS_A), "plain")))
+# (files, argv, exit code, a part of the error): each reader, on good and
+# malformed files, with blank and comment lines before the fault
+LINE_END_CASES = {
+    "graph": ({"m.graph": "# market\n" + CONFLICT_GRAPH},
+              ["clear", "--input", "m.graph", "--objective", "tex", "--output", "m.sol"], 0, ""),
+    "graph-short-record": ({"m.graph": "V a red\n\nV b\nE a b\n"},
+                           ["clear", "--input", "m.graph", "--objective", "tex",
+                            "--output", "m.sol"], 2, "line 3: "),
+    "graph-undeclared": ({"m.graph": "V a red # x\n\nE a b\n"},
+                         ["decide", "--input", "m.graph", "--objective", "tex"], 2, "line 3: "),
+    "wantlist": ({"w.txt": "alice a1 : b1\n\nbob b1 : a1\n"},
+                 ["clear", "--input", "w.txt", "--wantlist", "--objective", "maxtex",
+                  "--output", "w.sol"], 0, ""),
+    "wantlist-no-colon": ({"w.txt": "alice a1 : b1\n# x\nbob b1 a1\n"},
+                          ["clear", "--input", "w.txt", "--wantlist", "--objective", "tex",
+                           "--output", "w.sol"], 2, "line 3: "),
+    "wantlist-unknown": ({"w.txt": "\nalice a1 : b1\n"},
+                         ["decide", "--input", "w.txt", "--wantlist", "--objective", "tex"],
+                         2, "line 2: "),
+    "dimacs": ({"a.cnf": "c comment\n" + DIMACS_A},
+               ["reduce", "--cnf", "a.cnf", "--output", "a.graph", "--map", "a.map"], 0, ""),
+    "dimacs-out-of-range": ({"a.cnf": "p cnf 2 1\n\n1 3 0\n"},
+                            ["oracle", "--cnf", "a.cnf", "--sat"], 2, "line 3: "),
+    "gadget-map": ({"a.map": _GADGET_MAP, "a.sol": "\nC 2 0\n"},
+                   ["pullback", "--map", "a.map", "--solution", "a.sol"], 0, ""),
+    "gadget-map-bad-var": ({"a.map": "\n" + _GADGET_MAP.replace("VAR 1 FALSE 0", "VAR 1 0"),
+                            "a.sol": ""},
+                           ["pullback", "--map", "a.map", "--solution", "a.sol"], 2, "line 3: "),
+    "solution": ({"m.graph": CONFLICT_GRAPH, "m.sol": "# two\nC b c a\n\nC d a\n"},
+                 ["verify", "--graph", "m.graph", "--solution", "m.sol"], 2,
+                 "vertex a is in two cycles"),
+    "solution-no-edge": ({"m.graph": CONFLICT_GRAPH, "m.sol": "\n\nC b a\n"},
+                         ["verify", "--graph", "m.graph", "--solution", "m.sol"], 2,
+                         "line 3: no edge b -> a"),
+}
+
+
+def _run_in(directory, files, argv, monkeypatch, capsys):
+    """(exit code, stdout less the timing line, stderr, the bytes of every
+    file the run wrote) of ``main(argv)`` run in ``directory`` on ``files``."""
+    directory.mkdir()
+    for name, text in files.items():
+        (directory / name).write_bytes(text.encode())
+    monkeypatch.chdir(directory)
+    code = main(argv)
+    captured = capsys.readouterr()
+    out = [line for line in captured.out.splitlines() if not line.startswith("seconds ")]
+    written = {path.name: path.read_bytes() for path in sorted(directory.iterdir())
+               if path.name not in files}
+    return code, out, captured.err, written
+
+
+@pytest.mark.parametrize("case", LINE_END_CASES)
+def test_every_reader_reads_crlf_and_cr_files_as_their_lf_copy(case, tmp_path, monkeypatch,
+                                                               capsys):
+    files, argv, code, error = LINE_END_CASES[case]
+    runs = [_run_in(tmp_path / name, {file: text.replace("\n", end)
+                                      for file, text in files.items()}, argv, monkeypatch, capsys)
+            for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r"))]
+    assert runs[0][0] == code and error in runs[0][2]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_the_writer_writes_the_whole_text_through_short_writes(tmp_path, monkeypatch):
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    path = tmp_path / "out.sol"
+    text = "C épice b\n" * 30
+    _write_output(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+    _write_output(str(path), "C a\n")  # a shorter rewrite leaves no tail
+    assert path.read_bytes() == b"C a\n"
+    if os.path.exists("/dev/null"):
+        _write_output("/dev/null", text)

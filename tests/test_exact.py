@@ -170,6 +170,16 @@ def test_solvers_return_the_oracle_cycle_set(g):
         assert bc.solve_with_stats(g, objective)[0] == bc.brute_force_best(g, objective)
 
 
+@settings(max_examples=80, deadline=None)
+@given(g=small_graphs())
+def test_the_search_hands_back_the_lowest_edge_ids_it_read(g):
+    # a color solve reads the edges once: no CSR view, no edge-id lookup
+    solved = [bc.solve_with_stats(g, objective)[0] for objective in COLOR_OBJECTIVES]
+    assert "csr" not in vars(g) and "out_neighbors" not in vars(g)
+    for s in solved:
+        assert s == bc.cycle_set_from_vertices(g, bc.canonical_cycle_vertices(g, s))
+
+
 # a planted 3-CNF (5 variables, 21 clauses): its plain and balanced gadgets
 # defeat a bound that ignores whether the chosen edges close into cycles
 FAULT_CNF = bc.CnfInstance(5, (
