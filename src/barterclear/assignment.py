@@ -10,9 +10,9 @@ minimum-cost one trades the most vertices.  The non-dummy part of the
 matching is the successor configuration of the cycle set.
 
 The cost matrix is sparse, with n + (distinct edges) entries at most.  It
-comes straight from the graph's cached CSR view of its distinct edges, with
-the keeps spliced in, and is solved by scipy's LAPJVsp (Jonker & Volgenant
-1987, sparse variant).  Costs are small integers, exact in floating point.
+is built from the graph's edge arrays, with the keeps spliced in, and is
+solved by scipy's LAPJVsp (Jonker & Volgenant 1987, sparse variant).
+Costs are small integers, exact in floating point.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ def assignment_costs(g: ColoredDigraph) -> csr_array:
     Column indices are ascending within each row.
     """
     n = g.vertex_count
-    edge_keys = g.csr.keys
-    # the diagonal entries the distinct edges lack are the keeps
-    keys, first = np.unique(np.concatenate((edge_keys, np.arange(n) * (n + 1))), return_index=True)
-    data = np.where(first < edge_keys.size, float(EDGE_COST), float(KEEP_COST))
+    # parallel edges collapse, and the diagonal entries no self-loop fills are the keeps
+    keys, first = np.unique(np.concatenate((g.tails * n + g.heads, np.arange(n) * (n + 1))),
+                            return_index=True)
+    data = np.where(first < g.edge_count, float(EDGE_COST), float(KEEP_COST))
     rows, indices = np.divmod(keys, max(n, 1))
     indptr = rows.searchsorted(np.arange(n + 1))
     return csr_array((data, indices.astype(np.int32), indptr.astype(np.int32)), shape=(n, n))

@@ -17,7 +17,7 @@ state as arguments, so no step is undone on the way back.
 The search reads the graph's edges once, into a map per vertex from each
 successor to the lowest edge id that leads there: its ascending successor
 lists come from that map, and so does each edge id of the cycle set it
-returns.  A color solve builds no CSR view of the graph.  A cycle never
+returns, so a color solve caches nothing on the graph.  A cycle never
 leaves a strong component, so the search keeps only the edges inside one;
 the components come from one pass of Tarjan's algorithm with an explicit
 stack, in O(n + m).  The free set starts as the vertices on a cycle and is
@@ -38,8 +38,8 @@ assignment layer.
 ``solve_with_stats(g, objective, budget)`` is the one way into the solvers,
 for all four objectives, and returns the search effort with the answer.
 ``brute_force_best`` is the independent ground-truth oracle: an enumeration
-of successor choices with no bounds at all, returning the lexicographically
-least canonical optimum.
+of successor choices, listed from ``g.edges``, with no bounds at all,
+returning the lexicographically least canonical optimum.
 """
 
 from __future__ import annotations
@@ -395,7 +395,9 @@ def brute_force_best(g: ColoredDigraph, objective: Objective) -> CycleSet:
         raise TooLarge(f"{n} vertices (oracle limit {MAX_BRUTE_FORCE_VERTICES})")
     colors = g.vertex_colors.tolist()
     k = g.color_count
-    succ = g.out_neighbors
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(set(g.edges)):  # distinct successors, ascending
+        succ[u].append(v)
     key_of = _KEYS[objective]
 
     used_of_color = [0] * k

@@ -139,13 +139,13 @@ def _graph_records(text: str) -> tuple[bytes, list[str], list[str]]:
     Raises the file's first error unless every non-blank record has three
     tokens and kind ``V`` or ``E``; the token list and the rejoined text
     are freed on return."""
-    body = "\n".join(_lines(text)) if "#" in text else text
+    body = "\n".join(_lines(text)) if "#" in text or "\r" in text else text
     tokens = body.split()
     kinds, firsts, seconds = tokens[0::3], tokens[1::3], tokens[2::3]
     # three tokens per record: a flat token stream cannot tell "V a" +
     # "E V b c0" from two well-formed records.  Text that is its own tokens
-    # rejoined as "K a b" lines proves it at once; any other is counted
-    # line by line
+    # rejoined as "K a b" lines proves it at once (comments stripped and
+    # line ends made "\n" first, above); any other is counted line by line
     rejoined = "\n".join(map(" ".join, zip(kinds, firsts, seconds)))
     proved = body.startswith(rejoined) and body[len(rejoined):] in ("", "\n")
     if not ((proved or set(map(len, map(str.split, _lines(text)))) <= {0, 3})

@@ -9,18 +9,15 @@ colors (agents) the cycles cover.
 Graphs are multigraphs: self-loops and parallel edges are allowed, which is
 why cycles are stored as sequences of edge ids rather than vertex ids.
 A graph stores its vertex colors and edge endpoints as read-only int
-arrays, and derives one cached CSR view of its distinct edges, each with
-its lowest edge id; successor lists, edge-id lookups and the assignment
-cost matrix all come from that view.  ``cycle_set_from_vertices`` turns
-vertices into edge ids, one lookup per cycle set, for ``max-size``, the
-oracle and the solution files; the color search keeps the lowest edge id
-of each of its own steps and builds its cycle sets from those, with no
-lookup and no CSR view.  Validation and canonical forms read
-the endpoints of all of a cycle set's edges with one gather from the
-``tails`` and ``heads`` arrays, and check the cycles on those lists; the
-per-edge tuple ``g.edges`` is left to code that walks a whole graph.  All
-objects here are immutable values that compare by value; operations are
-pure.
+arrays, and caches one table of its distinct edges, each with its lowest
+edge id.  ``cycle_set_from_vertices`` turns vertex walks into edge ids with
+one lookup in that table per cycle set, for ``max-size``, the oracle and
+the solution files; the color search builds its cycle sets from the edge
+ids it read itself.  Validation and canonical forms read the endpoints of
+all of a cycle set's edges with one gather from the ``tails`` and ``heads``
+arrays, and check the cycles on those lists; the per-edge tuple ``g.edges``
+is left to code that walks a whole graph.  All objects here are immutable
+values that compare by value; operations are pure.
 
 ``build_graph`` checks every invariant of a graph; the text parsers, whose
 parse proves them, hand their fresh arrays to the private ``_graph`` instead.
@@ -99,21 +96,6 @@ class CycleSet:
         return iter(self.cycles)
 
 
-class CsrView(NamedTuple):
-    """The distinct edges of a graph in compressed sparse row form.
-
-    Row ``u`` lists the heads of the edges out of ``u`` in ascending order:
-    ``indices[indptr[u]:indptr[u + 1]]``.  Parallel edges share one entry,
-    whose ``edge_ids`` value is their lowest edge id; ``keys`` holds each
-    entry's ``tail * vertex_count + head``, ascending, for lookups.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    edge_ids: np.ndarray
-    keys: np.ndarray
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -133,11 +115,10 @@ class ColoredDigraph:
     with ``build_graph``, which sets and checks all of this, or read them
     with ``parse_graph`` or ``parse_wantlist``, whose parse proves it.
 
-    ``csr`` is the one cached view of the distinct edges that successors,
-    edge-id lookups and the assignment cost matrix derive from; ``edges``
-    gives the ``(tail, head)`` pairs for code that walks edges in Python.
-    Graphs compare by value: the same names, colors and edges in the same
-    order.
+    A graph caches ``edges``, the ``(tail, head)`` pairs for code that
+    walks edges in Python, and a private table of its distinct edges for
+    edge-id lookups.  Graphs compare by value: the same names, colors and
+    edges in the same order.
     """
 
     vertex_colors: np.ndarray
@@ -178,38 +159,29 @@ class ColoredDigraph:
         return tuple(zip(self.tails.tolist(), self.heads.tolist()))
 
     @cached_property
-    def csr(self) -> CsrView:
-        """The distinct edges in CSR form, each with its lowest edge id."""
-        n = self.vertex_count
-        keys, edge_ids = np.unique(self.tails * n + self.heads, return_index=True)
-        rows, indices = np.divmod(keys, max(n, 1))
-        view = (rows.searchsorted(np.arange(n + 1)), indices, edge_ids, keys)
-        return CsrView(*map(_read_only, view))
-
-    @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Distinct successor vertices per vertex, ascending (parallel edges collapsed)."""
-        indptr = self.csr.indptr.tolist()
-        indices = self.csr.indices.tolist()
-        return tuple(tuple(indices[a:b]) for a, b in zip(indptr, indptr[1:]))
+    def _edge_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The key ``tail * vertex_count + head`` of every distinct edge,
+        ascending, and the lowest edge id of each."""
+        keys, edge_ids = np.unique(self.tails * self.vertex_count + self.heads, return_index=True)
+        return _read_only(keys), _read_only(edge_ids)
 
 
 def _lowest_edge_ids(g: ColoredDigraph, tails: Sequence[int], heads: Sequence[int]) -> np.ndarray:
     """The lowest edge id from ``tails[i]`` to ``heads[i]`` for each i, or
     -1 where ``g`` has no such edge."""
     n = g.vertex_count
-    view = g.csr
+    table, edge_ids = g._edge_table
     t = np.asarray(tails, dtype=np.intp)
     h = np.asarray(heads, dtype=np.intp)
-    if view.keys.size == 0:
+    if table.size == 0:
         return np.full(t.shape, -1)
     keys = t * n + h
     # a negative id reads as a huge unsigned one, so one test per side
     # catches every out-of-range vertex, whose key might alias a real edge
     keys[(t.view(np.uintp) >= n) | (h.view(np.uintp) >= n)] = -1
-    at = view.keys.searchsorted(keys)
-    found = view.keys.take(at, mode="clip") == keys
-    return np.where(found, view.edge_ids.take(at, mode="clip"), -1)
+    at = table.searchsorted(keys)
+    found = table.take(at, mode="clip") == keys
+    return np.where(found, edge_ids.take(at, mode="clip"), -1)
 
 
 def _check_tokens(values: tuple[str, ...], what: str) -> None:

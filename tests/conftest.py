@@ -17,6 +17,14 @@ CNF_B = bc.CnfInstance(1, ((1,), (-1,)))
 CNF_C = bc.CnfInstance(2, ((1, 2), (-1, -2)))
 
 
+def successors(g: bc.ColoredDigraph) -> list[list[int]]:
+    """The distinct successors of each vertex, ascending, from ``g.edges``."""
+    succ: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in sorted(set(g.edges)):
+        succ[u].append(v)
+    return succ
+
+
 @pytest.fixture
 def g_pair() -> bc.ColoredDigraph:
     """Two items of two agents trading with each other."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+from dataclasses import fields, replace
 from time import perf_counter
 
 import numpy as np
@@ -19,7 +20,7 @@ import barterclear.exact
 from barterclear import Objective
 from barterclear.assignment import max_size_successors
 from barterclear.exact import _KEYS, _CycleSearch, _max_matching, _max_size, _strong_components
-from conftest import CNF_A, CNF_B, objective_value, small_graphs
+from conftest import CNF_A, CNF_B, objective_value, small_graphs, successors
 
 EMPTY = bc.build_graph([], [])
 # the three objectives the cycle search answers
@@ -170,14 +171,36 @@ def test_solvers_return_the_oracle_cycle_set(g):
         assert bc.solve_with_stats(g, objective)[0] == bc.brute_force_best(g, objective)
 
 
+def derived(g):
+    """The names of what ``g`` has computed from its fields and cached."""
+    return set(vars(g)) - {field.name for field in fields(g)}
+
+
 @settings(max_examples=80, deadline=None)
 @given(g=small_graphs())
 def test_the_search_hands_back_the_lowest_edge_ids_it_read(g):
-    # a color solve reads the edges once: no CSR view, no edge-id lookup
+    # a color solve reads the edges once: no edge table, no edge-id lookup
     solved = [bc.solve_with_stats(g, objective)[0] for objective in COLOR_OBJECTIVES]
-    assert "csr" not in vars(g) and "out_neighbors" not in vars(g)
+    assert derived(g) == set()
     for s in solved:
         assert s == bc.cycle_set_from_vertices(g, bc.canonical_cycle_vertices(g, s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs())
+def test_vertex_walks_to_edge_ids_cache_the_edge_table(g):
+    # max-size and the solution parser look edge ids up in the edge table;
+    # the oracle also lists successors from the edge tuple
+    def derived_after(run):
+        fresh = replace(g)
+        run(fresh)
+        return derived(fresh)
+
+    assert derived_after(bc.solve_max_size) == {"_edge_table"}
+    text = bc.serialize_solution(g, bc.solve_max_size(g))
+    assert derived_after(lambda h: bc.parse_solution(text, h)) == {"_edge_table"}
+    for objective in Objective:
+        assert derived_after(lambda h: bc.brute_force_best(h, objective)) == {"_edge_table", "edges"}
 
 
 # a planted 3-CNF (5 variables, 21 clauses): its plain and balanced gadgets
@@ -212,10 +235,11 @@ def test_fault_gadget_node_counts():
 def reachable(g, sources, inside):
     """The vertices of ``inside`` reached from ``sources`` along edges
     that stay in ``inside``, by breadth-first search."""
+    succ = successors(g)
     seen, frontier = set(), [v for v in sources if v in inside]
     while frontier:
         seen.update(frontier)
-        frontier = {w for v in frontier for w in g.out_neighbors[v]
+        frontier = {w for v in frontier for w in succ[v]
                     if w in inside and w not in seen}
     return seen
 
@@ -225,7 +249,7 @@ def reachable(g, sources, inside):
 def test_strong_components_are_mutual_reachability(g):
     everything = set(range(g.vertex_count))
     reach = [reachable(g, [v], everything) for v in everything]
-    label = _strong_components(g.out_neighbors)
+    label = _strong_components(successors(g))
     for u in everything:
         for v in everything:
             assert (label[u] == label[v]) == (v in reach[u] and u in reach[v]), (u, v)
@@ -240,11 +264,12 @@ def test_trim_keeps_every_cycle_of_the_set(g, data):
     trimmed = search.trim(sum(1 << v for v in subset) & search.on_cycle, range(n))
     kept = {v for v in range(n) if trimmed >> v & 1}
     assert kept <= subset
+    succ = successors(g)
     for v in subset:
-        if v in reachable(g, g.out_neighbors[v], subset):  # v closes a cycle in the subset
+        if v in reachable(g, succ[v], subset):  # v closes a cycle in the subset
             assert v in kept, v
     for v in kept:  # nothing left to trim
-        assert set(g.out_neighbors[v]) & kept and {u for u in kept if v in g.out_neighbors[u]}
+        assert set(succ[v]) & kept and {u for u in kept if v in succ[u]}
     # a trimmed set that loses vertices needs a look only around them
     gone = data.draw(st.sets(st.sampled_from(sorted(kept)))) if kept else set()
     rest = trimmed & ~sum(1 << v for v in gone)
@@ -263,12 +288,13 @@ def search_cap(g, objective=Objective.MAX_COLORS_AMONG_MAX_VERTICES):
 def matching_sizes(g):
     """The size of ``_max_matching`` and of scipy's maximum matching of
     vertices to successors."""
-    mate, _ = _max_matching(g.out_neighbors)
-    rows = [v for v, ws in enumerate(g.out_neighbors) for _ in ws]
-    cols = [w for ws in g.out_neighbors for w in ws]
+    succ = successors(g)
+    mate, _ = _max_matching(succ)
+    rows = [v for v, ws in enumerate(succ) for _ in ws]
+    cols = [w for ws in succ for w in ws]
     n = g.vertex_count
-    successors = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    reference = maximum_bipartite_matching(successors, perm_type="column")
+    matrix = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    reference = maximum_bipartite_matching(matrix, perm_type="column")
     return n - mate.count(-1), int((reference >= 0).sum())
 
 
@@ -278,7 +304,7 @@ def test_search_cap_is_the_max_size_optimum(g):
     # self-loops, parallel edges and graphs with no cycle all occur here
     assert search_cap(g) == search_cap(g, Objective.MAX_VERTICES_AMONG_MAX_COLORS) == traded(g)
     # the count needs no strong components, only successor lists
-    assert _max_size(g.out_neighbors) == traded(g)
+    assert _max_size(successors(g)) == traded(g)
     ours, scipys = matching_sizes(g)
     assert ours == scipys
 
@@ -321,7 +347,7 @@ def test_search_cap_finishes_a_matching_that_is_not_a_set_of_cycles():
     # two triangles sharing vertex 2: a maximum matching of vertices to
     # successors matches four, but disjoint cycles cover only three
     g = bc.build_graph([0, 0, 1, 1, 1], [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    mate, _ = _max_matching(g.out_neighbors)
+    mate, _ = _max_matching(successors(g))
     assert sum(w >= 0 for w in mate) == 4
     assert search_cap(g) == traded(g) == 3
 

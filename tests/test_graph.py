@@ -89,7 +89,8 @@ def test_build_rejects_names_no_text_format_can_carry():
 
 
 def test_graph_arrays_are_read_only(g_conflict):
-    for a in (g_conflict.vertex_colors, g_conflict.tails, g_conflict.heads, *g_conflict.csr):
+    for a in (g_conflict.vertex_colors, g_conflict.tails, g_conflict.heads,
+              *g_conflict._edge_table):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -217,8 +218,6 @@ def test_array_core_matches_a_plain_python_reference(g):
     first: dict[tuple[int, int], int] = {}
     for eid, pair in enumerate(g.edges):
         first.setdefault(pair, eid)
-    successors = [sorted({v for u, v in first if u == w}) for w in range(n)]
-    assert g.out_neighbors == tuple(map(tuple, successors))
     # every pair, out-of-range ids included: the lowest edge id, or -1
     pairs = [(u, v) for u in range(-1, n + 1) for v in range(-1, n + 1)]
     us, vs = zip(*pairs)
