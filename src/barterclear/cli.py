@@ -10,13 +10,14 @@ each argument is classified once; an argument a command does not know is
 reported with the command's usage line, exit code 2.
 
 Every file is read and written as UTF-8, whatever the locale, through one
-reader and one writer.  The reader decodes the raw bytes and keeps their
-line ends: every parser splits lines with ``str.splitlines`` or
-``str.split``, which read ``\r\n`` and ``\r`` as text mode would, so a
-CRLF or CR file gives the answers and errors of its LF copy.  ``clear``,
-``reduce`` and ``gen`` write their outputs in place, with ``\n`` line ends:
-an existing file is overwritten from its first byte and cut to the new
-length, never first truncated to zero, and nothing is fsynced.
+reader and one writer.  The reader decodes the raw bytes, drops one
+leading byte-order mark and keeps the line ends: every parser splits lines
+with ``str.splitlines`` or ``str.split``, which read ``\r\n`` and ``\r``
+as text mode would, so a CRLF or CR file gives the answers and errors of
+its LF copy.  ``clear``, ``reduce`` and ``gen`` write their outputs in
+place, with ``\n`` line ends: an existing file is overwritten from its
+first byte and cut to the new length, never first truncated to zero, and
+nothing is fsynced.
 """
 
 from __future__ import annotations
@@ -79,9 +80,10 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
 
 
 def _read(path: str) -> str:
-    """The text of the file at ``path``, decoded as UTF-8, line ends kept."""
+    """The text of the file at ``path``, decoded as UTF-8 less one leading
+    byte-order mark, line ends kept."""
     with open(path, "rb", buffering=0) as f:
-        return f.read().decode("utf-8")
+        return f.read().decode("utf-8-sig")
 
 
 def _load_graph(args: argparse.Namespace):

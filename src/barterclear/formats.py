@@ -10,20 +10,12 @@ vertices the lowest edge id is taken.  Want-lists use the community format
 the object back exactly.  Cycle text has one writer, ``serialize_solution``;
 a run report holds only its ``<key> <value>`` lines.
 
-Graph files are parsed in bulk: the text is split once, the record shapes
-are checked over all records at once (text equal to its tokens rejoined as
-``K a b`` lines needs no second, per-line split), and names, labels and
-endpoints are sliced out of the flat tokens, with no Python loop over the
-records.  Only when a check fails does a record-at-a-time walk find the
-error to report, so the errors and their precedence are those of reading
-one record at a time.
-
-Both graph parsers build the graph from the arrays they made, without
-``build_graph``'s checks: their parse already proves each of them.  Names
-are unique, labels are unique and color ids dense (both come from a
-first-appearance dict), every endpoint is declared, and every name and
-label is one token with no whitespace and no ``#``, since tokens come from
-``str.split`` after comments are stripped.
+Both graph parsers read one record at a time and build the graph from the
+arrays they made, without ``build_graph``'s checks: their parse already
+proves each of them.  Names are unique, labels are unique and color ids
+dense (both come from a first-appearance dict), every endpoint is
+declared, and every name and label is one token with no whitespace and no
+``#``, since tokens come from ``str.split`` after comments are stripped.
 """
 
 from __future__ import annotations
@@ -31,7 +23,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable
 
 import numpy as np
@@ -104,86 +95,53 @@ def serialize_graph(g: ColoredDigraph) -> str:
 
 
 def parse_graph(text: str) -> ColoredDigraph:
-    """Parse the graph text form.
+    """Parse the graph text form, one record at a time.
 
     Vertex ids are assigned densely in declaration order and color ids in
     order of first label appearance, so serializing the result reproduces
-    the input.  The text is split once and checked in bulk: every non-blank
-    record has three tokens and kind ``V`` or ``E``, no vertex is declared
-    twice and every endpoint is declared.  On a failed check the error is
-    that of reading one record at a time: the first malformed record or
-    duplicate vertex in file order, and only when there is none, the first
-    undeclared endpoint.
+    the input.  The first malformed record or duplicate vertex in file order
+    is the error; only when there is none, the first undeclared endpoint.
     """
-    kind, firsts, seconds = _graph_records(text)
-    is_v, is_e = kind.translate(_IS_V), kind.translate(_IS_E)
-    names = list(compress(firsts, is_v))
-    index = dict(zip(names, range(len(names))))
-    if len(index) < len(names):
-        raise _graph_error(text)  # a duplicate vertex
-    edge_count = len(kind) - len(names)
-    try:
-        tails = _vertex_ids(compress(firsts, is_e), index, edge_count)
-        heads = _vertex_ids(compress(seconds, is_e), index, edge_count)
-    except KeyError:
-        raise _graph_error(text) from None  # an undeclared endpoint
-    labels = list(compress(seconds, is_v))
-    unique_labels = dict.fromkeys(labels)
-    colors = _vertex_ids(labels, dict(zip(unique_labels, range(len(unique_labels)))), len(labels))
-    return _graph(colors, tails, heads, tuple(unique_labels), tuple(names))
-
-
-def _graph_records(text: str) -> tuple[bytes, list[str], list[str]]:
-    """The kind (``V`` or ``E``) of every record of a graph file, as bytes,
-    and the first and second token after it, from one split of the text.
-    Raises the file's first error unless every non-blank record has three
-    tokens and kind ``V`` or ``E``; the token list and the rejoined text
-    are freed on return."""
-    body = "\n".join(_lines(text)) if "#" in text or "\r" in text else text
-    tokens = body.split()
-    kinds, firsts, seconds = tokens[0::3], tokens[1::3], tokens[2::3]
-    # three tokens per record: a flat token stream cannot tell "V a" +
-    # "E V b c0" from two well-formed records.  Text that is its own tokens
-    # rejoined as "K a b" lines proves it at once (comments stripped and
-    # line ends made "\n" first, above); any other is counted line by line
-    rejoined = "\n".join(map(" ".join, zip(kinds, firsts, seconds)))
-    proved = body.startswith(rejoined) and body[len(rejoined):] in ("", "\n")
-    if not ((proved or set(map(len, map(str.split, _lines(text)))) <= {0, 3})
-            and set(kinds) <= {"V", "E"}):
-        raise _graph_error(text)
-    return "".join(kinds).encode(), firsts, seconds
-
-
-# record kinds V/E to the bytes 1/0 and 0/1: the selectors of ``compress``
-_IS_V = bytes.maketrans(b"VE", b"\1\0")
-_IS_E = bytes.maketrans(b"VE", b"\0\1")
-
-
-def _graph_error(text: str) -> ParseError:
-    """The first error of a graph file that has one, reading one record at a
-    time: a malformed record or duplicate vertex anywhere comes before an
-    undeclared edge endpoint, the first of which is named."""
-    declared: set[str] = set()
-    edges: list[tuple[int, list[str]]] = []
-    for lineno, tokens in _records(text):
-        kind = tokens[0]
+    index: dict[str, int] = {}
+    label_ids: dict[str, int] = {}
+    colors: list[int] = []
+    tail_names: list[str] = []
+    head_names: list[str] = []
+    for lineno, line in enumerate(_lines(text), start=1):
+        tokens = line.split()
+        try:
+            kind, first, second = tokens
+        except ValueError:  # a blank line or a record of the wrong length
+            kind = None
         if kind == "E":
-            if len(tokens) != 3:
-                return ParseError("E record needs <from-id> <to-id>", lineno)
-            edges.append((lineno, tokens[1:]))
-        elif kind == "V":
-            if len(tokens) != 3:
-                return ParseError("V record needs <vertex-id> <color-label>", lineno)
-            if tokens[1] in declared:
-                return ParseError(f"duplicate vertex {tokens[1]!r}", lineno)
-            declared.add(tokens[1])
-        else:
-            return ParseError(f"unknown record type {kind!r}", lineno)
-    for lineno, ends in edges:
-        for end in ends:
-            if end not in declared:
-                return ParseError(f"edge endpoint {end!r} is not a declared vertex", lineno)
-    raise AssertionError("the graph file has no error")
+            tail_names.append(first)
+            head_names.append(second)
+        elif kind == "V" and first not in index:
+            index[first] = len(index)
+            colors.append(label_ids.setdefault(second, len(label_ids)))
+        elif tokens:
+            raise _record_error(tokens, lineno)
+    try:
+        tails = _vertex_ids(tail_names, index, len(tail_names))
+        heads = _vertex_ids(head_names, index, len(head_names))
+    except KeyError:
+        lineno, end = next((lineno, end) for lineno, tokens in _records(text)
+                           if tokens[0] == "E" for end in tokens[1:] if end not in index)
+        raise ParseError(f"edge endpoint {end!r} is not a declared vertex", lineno) from None
+    return _graph(np.array(colors, dtype=np.intp), tails, heads, tuple(label_ids), tuple(index))
+
+
+def _record_error(tokens: list[str], lineno: int) -> ParseError:
+    """The error of a non-blank graph record that is neither a 3-token ``E``
+    record nor a 3-token ``V`` record of a new vertex."""
+    kind = tokens[0]
+    if kind == "E":
+        return ParseError("E record needs <from-id> <to-id>", lineno)
+    if kind != "V":
+        return ParseError(f"unknown record type {kind!r}", lineno)
+    if len(tokens) != 3:
+        return ParseError("V record needs <vertex-id> <color-label>", lineno)
+    return ParseError(f"duplicate vertex {tokens[1]!r}", lineno)
 
 
 # ---------------------------------------------------------------------------

@@ -647,6 +647,16 @@ def test_every_reader_reads_crlf_and_cr_files_as_their_lf_copy(case, tmp_path, m
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+@pytest.mark.parametrize("case", LINE_END_CASES)
+def test_every_reader_skips_a_leading_byte_order_mark(case, tmp_path, monkeypatch, capsys):
+    files, argv, code, error = LINE_END_CASES[case]
+    plain = _run_in(tmp_path / "plain", files, argv, monkeypatch, capsys)
+    bom = _run_in(tmp_path / "bom", {file: "\ufeff" + text for file, text in files.items()},
+                  argv, monkeypatch, capsys)
+    assert plain[0] == code and error in plain[2]
+    assert bom == plain
+
+
 def test_the_writer_writes_the_whole_text_through_short_writes(tmp_path, monkeypatch):
     write = os.write
     monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))

@@ -56,8 +56,10 @@ def test_graph_parse_errors_carry_line_numbers():
 
 
 def reference_parse_graph(text):
-    """The graph file read one record at a time: the loop that the bulk
-    parse_graph replaced, kept as the reference for its graphs and errors."""
+    """The graph file read one record at a time, written apart from
+    parse_graph and kept as the reference for its graphs and errors: lines
+    as ``str.splitlines`` splits them, checks in file order, and endpoints
+    checked only after the last record."""
     index, colors, label_id, ends, edge_lines = {}, [], {}, [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
@@ -127,6 +129,13 @@ def _parse_outcome(parse, text):
 @example("E a b\nV a red\nV V red\nE V a\n")
 @example("E a ghost\nV a red\nV a blue\n")
 @example("V a red\nE a ghost\nE a\n")
+# the other separators str.splitlines honours, a CR-only file, and a last
+# record with no line end
+@example("V a r\x0bE a a")
+@example("V a r\x1cV b r\x85E a b")
+@example("V a r\u2028E a a\r")
+@example("V a red\rV b red\rE a b\rE b a\r")
+@example("V a red\nE a a")
 def test_bulk_graph_parse_matches_a_record_at_a_time_reference(text):
     assert _parse_outcome(bc.parse_graph, text) == _parse_outcome(reference_parse_graph, text)
 
