@@ -24,7 +24,6 @@ from .formats import (
     DuplicateItem,
     GadgetMap,
     ParseError,
-    RunReport,
     UnknownWantedItem,
     gen_random,
     parse_cycles,
@@ -33,12 +32,10 @@ from .formats import (
     parse_gadget_map,
     parse_graph,
     parse_integer,
-    parse_report,
     parse_solution,
     parse_wantlist,
     serialize_gadget_map,
     serialize_graph,
-    serialize_report,
     serialize_solution,
     serialize_wantlist,
 )

@@ -9,6 +9,12 @@ disjoint cycles; the question is left unanswered).
 each argument is classified once; an argument a command does not know is
 reported with the command's usage line, exit code 2.
 
+``clear`` prints a run report, the CLI's own output format, one
+``<key> <value>`` line each: ``objective``, ``method``, ``vertices``,
+``colors``, ``total-colors``, ``nodes``, ``seconds`` and, with
+``--method approx`` only, ``guarantee``; the solution text follows, byte
+for byte as written to ``--output``.
+
 Every file is read and written as UTF-8, whatever the locale, through one
 reader and one writer.  The reader decodes the raw bytes, drops one
 leading byte-order mark and keeps the line ends: every parser splits lines
@@ -38,7 +44,6 @@ from .exact import (
     solve_with_stats,
 )
 from .formats import (
-    RunReport,
     gen_random,
     parse_cycles,
     parse_dimacs,
@@ -50,7 +55,6 @@ from .formats import (
     parse_wantlist,
     serialize_gadget_map,
     serialize_graph,
-    serialize_report,
     serialize_solution,
 )
 from .graph import (
@@ -130,26 +134,19 @@ def cmd_clear(args: argparse.Namespace) -> int:
     t0 = monotonic()
     if args.method == "approx":
         solution, guarantee = approx_jpc(g)
-        nodes, guarantee_text = 0, str(guarantee)
+        nodes, guarantee_line = 0, f"guarantee {guarantee}\n"
     else:
         solution, stats = solve_with_stats(g, Objective(args.objective), _budget(args))
-        nodes, guarantee_text = stats.nodes, ""
+        nodes, guarantee_line = stats.nodes, ""
     seconds = monotonic() - t0
     # a run never emits a solution it cannot verify
     metrics = validate_cycle_set(g, solution)
     text = serialize_solution(g, solution)
     _write_output(args.output, text)
-    report = RunReport(
-        objective=args.objective,
-        method=args.method,
-        vertex_count=metrics.vertex_count,
-        color_count=metrics.color_count,
-        total_colors=g.color_count,
-        nodes=nodes,
-        seconds=seconds,
-        guarantee=guarantee_text,
-    )
-    sys.stdout.write(serialize_report(report) + text)
+    sys.stdout.write(f"objective {args.objective}\nmethod {args.method}\n"
+                     f"vertices {metrics.vertex_count}\ncolors {metrics.color_count}\n"
+                     f"total-colors {g.color_count}\nnodes {nodes}\nseconds {seconds!r}\n"
+                     f"{guarantee_line}{text}")
     if args.min_vertices is not None and metrics.vertex_count < args.min_vertices:
         return EXIT_NO
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Text formats: graphs, solutions, want-lists, DIMACS CNF, gadget maps, reports.
+"""Text formats: graphs, solutions, want-lists, DIMACS CNF, gadget maps.
 
 Graph files carry one record per line (`#` starts a comment, tokens are
 whitespace-separated): ``V <vertex-id> <color-label>`` declares a vertex,
@@ -7,8 +7,7 @@ Solution files carry ``C <v1> <v2> ... <vk>`` records meaning the cycle
 v1 -> v2 -> ... -> vk -> v1; when parallel edges exist between consecutive
 vertices the lowest edge id is taken.  Want-lists use the community format
 ``<agent> <item> : <item>*``.  Parsing a serialized canonical object gives
-the object back exactly.  Cycle text has one writer, ``serialize_solution``;
-a run report holds only its ``<key> <value>`` lines.
+the object back exactly.  Cycle text has one writer, ``serialize_solution``.
 
 Both graph parsers read one record at a time and build the graph from the
 arrays they made, without ``build_graph``'s checks: their parse already
@@ -457,84 +456,14 @@ def parse_integer(token: str) -> int:
 _NOT_IN_A_FLOAT = re.compile(r"[_\s]")
 
 
-def _parse_float(token: str, lineno: int | None,
-                 error: str = "expected a number, got {!r}") -> float:
-    """The float a token spells in ASCII with no underscore or whitespace,
-    ``inf`` and ``nan`` included, or a ParseError with ``error`` formatted
-    with the token; ``float`` alone would also read ``1_0``, `` 1`` and
-    non-ASCII digits."""
+def parse_float(token: str) -> float:
+    """The text formats' float rule for text outside a file, such as a
+    command-line option: ASCII with no underscore or whitespace, ``inf`` and
+    ``nan`` included, or a ParseError (a ValueError) with no line number;
+    ``float`` alone would also read ``1_0``, `` 1`` and non-ASCII digits."""
     if token.isascii() and not _NOT_IN_A_FLOAT.search(token):
         try:
             return float(token)
         except ValueError:
             pass
-    raise ParseError(error.format(token), lineno)
-
-
-def parse_float(token: str) -> float:
-    """The text formats' float rule for text outside a file, such as a
-    command-line option, or a ParseError (a ValueError) with no line number."""
-    return _parse_float(token, None)
-
-
-# ---------------------------------------------------------------------------
-# run reports
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Summary of one clearing run; metrics always match a re-validation of
-    the emitted solution, whose cycles it does not hold.  ``color_count`` is
-    also the number of agents trading."""
-
-    objective: str
-    method: str
-    vertex_count: int
-    color_count: int
-    total_colors: int
-    nodes: int
-    seconds: float
-    guarantee: str = ""
-
-
-def serialize_report(report: RunReport) -> str:
-    lines = [
-        f"objective {report.objective}",
-        f"method {report.method}",
-        f"vertices {report.vertex_count}",
-        f"colors {report.color_count}",
-        f"total-colors {report.total_colors}",
-        f"nodes {report.nodes}",
-        f"seconds {report.seconds!r}",
-    ]
-    if report.guarantee:
-        lines.append(f"guarantee {report.guarantee}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str) -> RunReport:
-    """Unknown keys, like the ``traded-agents`` line of older reports, are
-    ignored, and so are the ``C`` lines ``clear`` prints after the report."""
-    fields: dict[str, tuple[str, int]] = {}
-    for lineno, tokens in _records(text):
-        if tokens[0] == "C":
-            continue
-        if len(tokens) != 2:
-            raise ParseError("expected '<key> <value>'", lineno)
-        fields[tokens[0]] = (tokens[1], lineno)
-
-    def field(key: str) -> tuple[str, int]:
-        if key not in fields:
-            raise ParseError(f"missing report field {key!r}")
-        return fields[key]
-
-    return RunReport(
-        objective=field("objective")[0],
-        method=field("method")[0],
-        vertex_count=_parse_int(*field("vertices")),
-        color_count=_parse_int(*field("colors")),
-        total_colors=_parse_int(*field("total-colors")),
-        nodes=_parse_int(*field("nodes")),
-        seconds=_parse_float(*field("seconds"), "expected a number of seconds, got {!r}"),
-        guarantee=fields.get("guarantee", ("",))[0],
-    )
+    raise ParseError(f"expected a number, got {token!r}")

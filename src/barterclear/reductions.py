@@ -34,7 +34,6 @@ from .graph import (
     CycleSet,
     CycleSetError,
     build_graph,
-    canonical_cycle_set,
     cycle_vertices,
     validate_cycle_set,
 )
@@ -232,14 +231,17 @@ def clause_colors_covered(art: ReductionArtifact, s: CycleSet) -> int:
 
 def full_selection(art: ReductionArtifact, assignment: dict[int, bool]) -> CycleSet:
     """The cycle set induced by a total assignment: one loop per variable,
-    plus the extra balance cycle when the construction has one."""
+    plus the extra balance cycle when the construction has one.  It is
+    canonical as built: each loop starts at its variable vertex, the
+    smallest id on it, the loops come in variable order, and the twin cycle,
+    which holds the highest ids, comes last."""
     cycles = [
         art.true_loops[i - 1] if assignment[i] else art.false_loops[i - 1]
         for i in range(1, art.cnf.num_vars + 1)
     ]
     if art.balance_cycle is not None:
         cycles.append(art.balance_cycle)
-    return canonical_cycle_set(art.graph, CycleSet(tuple(cycles)))
+    return CycleSet(tuple(cycles))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,19 @@ def successors(g: bc.ColoredDigraph) -> list[list[int]]:
     return succ
 
 
+def report_fields(stdout: str) -> dict[str, str]:
+    """The ``<key> <value>`` lines that ``clear`` prints before the ``C``
+    lines of its solution, by key."""
+    fields: dict[str, str] = {}
+    for line in stdout.splitlines():
+        tokens = line.split()
+        if tokens[0] == "C":
+            break
+        key, value = tokens
+        fields[key] = value
+    return fields
+
+
 @pytest.fixture
 def g_pair() -> bc.ColoredDigraph:
     """Two items of two agents trading with each other."""

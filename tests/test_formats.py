@@ -402,25 +402,6 @@ def test_gadget_map_rejects_incomplete_variables():
     assert gm.num_vars == 2
 
 
-def test_report_round_trip():
-    report = bc.RunReport(
-        objective="tex",
-        method="exact",
-        vertex_count=4,
-        color_count=2,
-        total_colors=3,
-        nodes=123,
-        seconds=0.0456,
-        guarantee="1/2",
-    )
-    assert bc.parse_report(bc.serialize_report(report)) == report
-
-
-def test_report_round_trip_without_guarantee():
-    report = bc.RunReport("max-size", "exact", 0, 0, 0, 0, 0.0)
-    assert bc.parse_report(bc.serialize_report(report)) == report
-
-
 @settings(max_examples=60, deadline=None)
 @given(g=small_graphs())
 def test_generated_style_graphs_round_trip(g):
@@ -464,31 +445,6 @@ def test_graphs_build_graph_accepts_read_back_equal(g, names, labels):
     h = bc.build_graph(colors, edges, labels, names)
     assert bc.parse_graph(bc.serialize_graph(h)) == h
     assert bc.parse_wantlist(bc.serialize_wantlist(h)) == h
-
-
-def test_report_parse_ignores_old_traded_agents_line():
-    text = ("objective tex\nmethod exact\nvertices 4\ncolors 2\ntotal-colors 3\n"
-            "traded-agents 2\nnodes 123\nseconds 0.5\nC a b\n")
-    report = bc.parse_report(text)
-    assert report == bc.RunReport("tex", "exact", 4, 2, 3, 123, 0.5)  # C lines are not its own
-    assert "traded-agents" not in bc.serialize_report(report)
-
-
-@pytest.mark.parametrize("line, error", [
-    ("vertices 1_0", "line 3: expected an integer, got '1_0'"),
-    ("colors ١", "line 4: expected an integer, got '١'"),
-    ("nodes x", "line 6: expected an integer, got 'x'"),
-    ("seconds x", "line 7: expected a number of seconds, got 'x'"),
-    ("seconds 1_0", "line 7: expected a number of seconds, got '1_0'"),
-    ("seconds ١", "line 7: expected a number of seconds, got '١'"),
-])
-def test_report_fields_follow_the_format_number_rules(line, error):
-    report = bc.RunReport("tex", "exact", 4, 2, 3, 123, 0.5)
-    key = line.split()[0]
-    text = "".join(line + "\n" if record.split()[0] == key else record + "\n"
-                   for record in bc.serialize_report(report).splitlines())
-    with pytest.raises(bc.ParseError, match=f"^{error}$"):
-        bc.parse_report(text)
 
 
 def test_parse_integer_takes_a_sign_and_ascii_digits_only():

@@ -21,8 +21,6 @@ HEADS = [
     ["VAR 1 TRUE 0 2", "VAR 1 FALSE 0", "VAR 2 TRUE 1", "VAR 2 FALSE 1 3", "CLAUSECOLOR 1",
      "BALANCECOLOR", "BALANCECYCLE 3 4", "BALANCECYCLE", "CLAUSE 1 1 -2", "CLAUSE 2 2",
      "VAR 1"],
-    ["objective tex", "method exact", "vertices 2", "colors 1", "total-colors 2",
-     "traded-agents 1", "nodes 5", "seconds 0.5", "guarantee 1/2", "C a b", "seconds"],
 ]
 ARGS = st.sampled_from([
     "a", "b", "d", "red", "0", "1", "2", "-1", "-2", "-0", "+1", "99", "1e3", "0x1", "1_0",
@@ -48,7 +46,6 @@ PARSERS = {
     "parse_wantlist": bc.parse_wantlist,
     "parse_dimacs": bc.parse_dimacs,
     "parse_gadget_map": lambda text: bc.parse_gadget_map(text).cnf(),
-    "parse_report": bc.parse_report,
 }
 
 

@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barterclear as bc
 from conftest import CNF_A, CNF_B, CNF_C, cnfs, corpus_cnfs
@@ -245,6 +246,18 @@ def test_full_selection_covers_every_variable():
     metrics = bc.validate_cycle_set(art.graph, s)
     assert metrics.vertex_count == 2 * 3  # two loops of length 3
     assert bc.extract_assignment(art, s) == {1: True, 2: False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cnf=cnfs(), bits=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_full_selection_is_canonical_as_built(cnf, bits):
+    assignment = dict(enumerate(bits[:cnf.num_vars], start=1))
+    for variant in bc.GADGET_VARIANTS:
+        if variant == "2pc" and any(len(clause) > 2 for clause in cnf.clauses):
+            continue
+        art = bc.build_sat_graph(cnf, variant)
+        s = bc.full_selection(art, assignment)
+        assert s == bc.canonical_cycle_set(art.graph, s)
 
 
 def test_l_reduction_check_at_the_optimum():
