@@ -9,12 +9,16 @@ vertices the lowest edge id is taken.  Want-lists use the community format
 ``<agent> <item> : <item>*``.  Parsing a serialized canonical object gives
 the object back exactly.  Cycle text has one writer, ``serialize_solution``.
 
-Both graph parsers read one record at a time and build the graph from the
-arrays they made, without ``build_graph``'s checks: their parse already
-proves each of them.  Names are unique, labels are unique and color ids
-dense (both come from a first-appearance dict), every endpoint is
-declared, and every name and label is one token with no whitespace and no
-``#``, since tokens come from ``str.split`` after comments are stripped.
+Every parser reads one record at a time, from lines that ``_lines`` splits
+one block of text at a time, so a parse holds the object it builds and
+one block's lines, not the file's.  ``parse_graph`` keeps each endpoint
+as the vertex id it names, so it peaks near four times the size of its
+text.  Both graph parsers build the graph from the arrays they made,
+without ``build_graph``'s checks: their parse already proves each of
+them.  Names are unique, labels are unique and color ids dense (both come
+from a first-appearance dict), every endpoint is declared, and every name
+and label is one token with no whitespace and no ``#``, since tokens come
+from ``str.split`` after comments are stripped.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -60,12 +65,33 @@ class BadParameters(ValueError):
     """Invalid random-instance parameters."""
 
 
-def _lines(text: str) -> list[str]:
-    """The lines of ``text`` with comments stripped."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [raw.split("#", 1)[0] for raw in lines]
-    return lines
+# characters of text split into lines at a time
+_BLOCK = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    r"""The lines of ``text`` as ``text.splitlines()`` gives them, with
+    comments stripped, split one block of about ``_BLOCK`` characters at a
+    time, so that a parse holds one block's lines and not the file's.
+
+    A block ends just after a ``\n``, where ``str.splitlines`` always ends a
+    line, also when the ``\n`` closes a ``\r\n``; so the blocks' lines are
+    the text's lines.  The lines come from per-block lists, which cost less
+    per line than a generator that yields each one.
+    """
+    return chain.from_iterable(_line_blocks(text))
+
+
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
+        block = text[start:end]
+        lines = block.splitlines()
+        if "#" in block:
+            lines = [raw.split("#", 1)[0] for raw in lines]
+        yield lines
+        start = end
 
 
 def _records(text: str):
@@ -104,8 +130,12 @@ def parse_graph(text: str) -> ColoredDigraph:
     index: dict[str, int] = {}
     label_ids: dict[str, int] = {}
     colors: list[int] = []
-    tail_names: list[str] = []
-    head_names: list[str] = []
+    # endpoints are kept as the ids the index holds, not as their names; an
+    # E record that names a vertex declared further on is patched at the end
+    tails: list[int | None] = []
+    heads: list[int | None] = []
+    forward: list[tuple[int, int, tuple[str, str]]] = []
+    get = index.get
     for lineno, line in enumerate(_lines(text), start=1):
         tokens = line.split()
         try:
@@ -113,21 +143,23 @@ def parse_graph(text: str) -> ColoredDigraph:
         except ValueError:  # a blank line or a record of the wrong length
             kind = None
         if kind == "E":
-            tail_names.append(first)
-            head_names.append(second)
+            tail, head = get(first), get(second)
+            if tail is None or head is None:
+                forward.append((len(tails), lineno, (first, second)))
+            tails.append(tail)
+            heads.append(head)
         elif kind == "V" and first not in index:
             index[first] = len(index)
             colors.append(label_ids.setdefault(second, len(label_ids)))
         elif tokens:
             raise _record_error(tokens, lineno)
-    try:
-        tails = _vertex_ids(tail_names, index, len(tail_names))
-        heads = _vertex_ids(head_names, index, len(head_names))
-    except KeyError:
-        lineno, end = next((lineno, end) for lineno, tokens in _records(text)
-                           if tokens[0] == "E" for end in tokens[1:] if end not in index)
-        raise ParseError(f"edge endpoint {end!r} is not a declared vertex", lineno) from None
-    return _graph(np.array(colors, dtype=np.intp), tails, heads, tuple(label_ids), tuple(index))
+    for e, lineno, ends in forward:
+        for end in ends:
+            if end not in index:
+                raise ParseError(f"edge endpoint {end!r} is not a declared vertex", lineno)
+        tails[e], heads[e] = index[ends[0]], index[ends[1]]
+    return _graph(np.array(colors, dtype=np.intp), np.array(tails, dtype=np.intp),
+                  np.array(heads, dtype=np.intp), tuple(label_ids), tuple(index))
 
 
 def _record_error(tokens: list[str], lineno: int) -> ParseError:

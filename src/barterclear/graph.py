@@ -11,13 +11,14 @@ why cycles are stored as sequences of edge ids rather than vertex ids.
 A graph stores its vertex colors and edge endpoints as read-only int
 arrays, and caches one table of its distinct edges, each with its lowest
 edge id.  ``cycle_set_from_vertices`` turns vertex walks into edge ids with
-one lookup in that table per cycle set, for ``max-size``, the oracle and
-the solution files; the color search builds its cycle sets from the edge
-ids it read itself.  Validation and canonical forms read the endpoints of
-all of a cycle set's edges with one gather from the ``tails`` and ``heads``
-arrays, and check the cycles on those lists; the per-edge tuple ``g.edges``
-is left to code that walks a whole graph.  All objects here are immutable
-values that compare by value; operations are pure.
+one lookup in that table per cycle set, for the oracle and the solution
+files; ``max-size`` reads its edge ids from its cost matrix and the color
+search builds its cycle sets from the edge ids it read itself.  Validation
+and canonical forms read the endpoints of all of a cycle set's edges with
+one gather from the ``tails`` and ``heads`` arrays, and check the cycles on
+those lists; the per-edge tuple ``g.edges`` is left to code that walks a
+whole graph.  All objects here are immutable values that compare by value;
+operations are pure.
 
 ``build_graph`` checks every invariant of a graph; the text parsers, whose
 parse proves them, hand their fresh arrays to the private ``_graph`` instead.

@@ -140,6 +140,8 @@ def test_decomposition_soundness(g):
     s = bc.solve_max_size(g)
     assert bc.validate_cycle_set(g, s).vertex_count == traded(successor)
     assert bc.canonical_cycle_set(g, s) == s
+    # the edge ids read from the cost matrix are the edge table's lowest ones
+    assert s == bc.cycle_set_from_vertices(g, bc.successor_cycles(successor))
     for cycle in s.cycles:
         vertices = bc.cycle_vertices(g, cycle)
         assert all(successor[u] == v for u, v in zip(vertices, vertices[1:] + vertices[:1]))

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import barterclear as bc
+from barterclear import formats
 from conftest import CNF_A, CNF_B, CNF_C, small_graphs
 
 
@@ -137,7 +141,44 @@ def _parse_outcome(parse, text):
 @example("V a red\rV b red\rE a b\rE b a\r")
 @example("V a red\nE a a")
 def test_bulk_graph_parse_matches_a_record_at_a_time_reference(text):
-    assert _parse_outcome(bc.parse_graph, text) == _parse_outcome(reference_parse_graph, text)
+    # blocks of 1 and 3 characters cut inside \r\n, comments and records
+    expected = _parse_outcome(reference_parse_graph, text)
+    for block in (1, 3, formats._BLOCK):
+        with mock.patch.object(formats, "_BLOCK", block):
+            assert _parse_outcome(bc.parse_graph, text) == expected
+
+
+def market_text(items, wants, seed):
+    """A seeded graph file of ``items`` items, each wanting ``wants``
+    distinct others, owned by agents of one to five items."""
+    rng = random.Random(seed)
+    owners = []
+    while len(owners) < items:
+        owners += [f"a{len(owners)}"] * rng.randint(1, 5)
+    lines = [f"V i{v} {owners[v]}" for v in range(items)]
+    for u in range(items):
+        lines += [f"E i{u} i{v + (v >= u)}" for v in rng.sample(range(items - 1), wants)]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_crlf_graph_of_many_blocks_parses_as_its_lf_copy():
+    text = market_text(2000, 5, seed=1)
+    crlf = text.replace("\n", "\r\n")
+    assert len(crlf) > 2 * formats._BLOCK
+    assert bc.parse_graph(crlf) == bc.parse_graph(text)
+
+
+def test_a_graph_parse_holds_the_graph_not_the_file():
+    # endpoints are kept as vertex ids and lines one block at a time: a
+    # parse that keeps every line and endpoint name peaks at 13.5x the text
+    text = market_text(20_000, 5, seed=1)
+    tracemalloc.start()
+    try:
+        bc.parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * len(text)
 
 
 def test_graph_parse_forward_edge_reference_is_fine():

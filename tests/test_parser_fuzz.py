@@ -4,11 +4,14 @@ errors), which the CLI reports as input errors with exit code 2."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barterclear as bc
+from barterclear import formats
 from conftest import small_graphs
 
 # whole records and record heads of each format, to be followed by a few
@@ -77,3 +80,19 @@ def test_graph_parsers_build_the_graph_build_graph_builds(text):
         for h in (g, built):
             for a in (h.vertex_colors, h.tails, h.heads):
                 assert a.dtype == np.intp and not a.flags.writeable
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=TEXTS)
+def test_parsers_read_the_same_lines_one_character_at_a_time(text):
+    # a one-character block cuts the text after every line feed
+    default = {name: _outcome(parse, text) for name, parse in PARSERS.items()}
+    with mock.patch.object(formats, "_BLOCK", 1):
+        assert {name: _outcome(parse, text) for name, parse in PARSERS.items()} == default
