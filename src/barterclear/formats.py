@@ -115,7 +115,7 @@ def serialize_graph(g: ColoredDigraph) -> str:
     """Graph text form, naming vertices and colors as the graph does."""
     names, labels = g.vertex_names, g.color_labels
     lines = [f"V {name} {labels[c]}" for name, c in zip(names, g.vertex_colors.tolist())]
-    lines += [f"E {names[u]} {names[v]}" for u, v in g.edges]
+    lines += [f"E {names[u]} {names[v]}" for u, v in zip(g.tails.tolist(), g.heads.tolist())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -200,7 +200,7 @@ def _cycle_records(text: str):
 def parse_cycles(text: str) -> tuple[tuple[str, ...], ...]:
     """The ``C`` records of a solution file as vertex-name tuples, in file
     order, without a graph to check them against."""
-    return tuple(cycle for _, cycle in _cycle_records(text))
+    return tuple([cycle for _, cycle in _cycle_records(text)])
 
 
 def parse_solution(text: str, g: ColoredDigraph) -> CycleSet:
@@ -275,7 +275,7 @@ def serialize_wantlist(g: ColoredDigraph) -> str:
     its color labels."""
     names, labels = g.vertex_names, g.color_labels
     wants: list[list[str]] = [[] for _ in names]
-    for u, v in g.edges:
+    for u, v in zip(g.tails.tolist(), g.heads.tolist()):
         wants[u].append(names[v])
     return "".join(
         " ".join([f"{labels[c]} {item} :", *want]) + "\n"
@@ -443,14 +443,14 @@ def parse_gadget_map(text: str) -> GadgetMap:
                 raise ParseError("expected 'CLAUSE <j> <literals>'", lineno)
             j = _parse_int(tokens[1], lineno)
             once(f"CLAUSE {j}", lineno)
-            clauses[j] = tuple(_parse_int(t, lineno) for t in tokens[2:])
+            clauses[j] = tuple([_parse_int(t, lineno) for t in tokens[2:]])
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)
 
     num_vars = len(true_loops)
     if set(true_loops) != set(false_loops) or not all(1 <= i <= num_vars for i in true_loops):
         raise ParseError("incomplete VAR loop records")
-    ordered_clauses = tuple(clauses[j] for j in sorted(clauses))
+    ordered_clauses = tuple([clauses[j] for j in sorted(clauses)])
     if set(clauses) != set(range(1, len(clauses) + 1)):
         raise ParseError("non-contiguous CLAUSE records")
     return GadgetMap(

@@ -22,12 +22,6 @@ operations are pure.
 
 ``build_graph`` checks every invariant of a graph; the text parsers, whose
 parse proves them, hand their fresh arrays to the private ``_graph`` instead.
-
-Tuples made once per solution are built from lists, not from iterators:
-CPython resizes a tuple built from an iterator of unknown length, and such
-a tuple, once freed, stays on the interpreter's free list for its size
-until a full garbage collection, which a clear that allocates few tracked
-objects seldom triggers.
 """
 
 from __future__ import annotations
@@ -157,7 +151,7 @@ class ColoredDigraph:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """``(tail, head)`` of every edge, by edge id."""
-        return tuple(zip(self.tails.tolist(), self.heads.tolist()))
+        return tuple(list(zip(self.tails.tolist(), self.heads.tolist())))
 
     @cached_property
     def _edge_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +229,7 @@ def build_graph(
     k = len(labels)
     if len(set(labels)) != k:
         raise ValueError("color labels must be unique")
-    names = tuple(map(str, range(n))) if vertex_names is None else tuple(vertex_names)
+    names = tuple([str(v) for v in range(n)]) if vertex_names is None else tuple(vertex_names)
     if len(names) != n:
         raise ValueError(f"{len(names)} vertex names for {n} vertices")
     if len(set(names)) != n:

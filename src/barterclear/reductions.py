@@ -167,17 +167,23 @@ def gadget_map(art: ReductionArtifact) -> GadgetMap:
     the clause and balance colors are the graph's own labels and stay there."""
     g = art.graph
     n = art.cnf.num_vars
-
-    def named(cycle: Cycle) -> tuple[str, ...]:
-        return tuple(g.vertex_names[v] for v in cycle_vertices(g, cycle))
-
-    loops = [named(c) for c in art.true_loops + art.false_loops]
+    cycles = [*art.true_loops, *art.false_loops]
+    if art.balance_cycle is not None:
+        cycles.append(art.balance_cycle)
+    # one gather of the vertices of every cycle, sliced per cycle
+    names = g.vertex_names
+    vertices = [names[v] for v in g.tails[[e for c in cycles for e in c.edge_ids]].tolist()]
+    named = []
+    at = 0
+    for c in cycles:
+        named.append(tuple(vertices[at:at + len(c)]))
+        at += len(c)
     return GadgetMap(
         num_vars=n,
-        true_loops=dict(enumerate(loops[:n], start=1)),
-        false_loops=dict(enumerate(loops[n:], start=1)),
+        true_loops=dict(enumerate(named[:n], start=1)),
+        false_loops=dict(enumerate(named[n:2 * n], start=1)),
         clauses=art.cnf.clauses,
-        balance_cycle=named(art.balance_cycle) if art.balance_cycle is not None else (),
+        balance_cycle=named[2 * n] if art.balance_cycle is not None else (),
     )
 
 

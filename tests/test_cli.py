@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -456,6 +460,61 @@ def test_main_runs_repeatedly_in_one_process(conflict_file, tmp_path, capsys):
                      "--x", "3"]) == 0
         assert capsys.readouterr().out.startswith("YES")
     assert _build_parser.cache_info().misses == 1  # the parsers are built once
+
+
+def test_repeated_calls_keep_no_memory(tmp_path):
+    # a tuple built from an iterator of unknown length is resized and, once
+    # freed, stays on CPython's free list for its size, one more per call,
+    # until a full collection empties the lists: so full collections are held
+    # off while each command runs 200 more times after its warm-up, and only
+    # the young generations are collected, to free cyclic garbage such as the
+    # oracle's recursive closure, before each reading. No input holds a
+    # 20-item tuple, which CPython 3.11 keeps however it was built, and
+    # max-size and approx are left out: scipy's check_shape leaves two 2-item
+    # tuples per LAPJVsp solve
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 5 7\n1 -2 0\n-1 2 0\n2 3 0\n-3 4 0\n4 -5 0\n5 1 0\n3 -4 0\n")
+    market, gadget, gmap = tmp_path / "m.graph", tmp_path / "g.graph", tmp_path / "g.map"
+    m_sol, g_sol, out = tmp_path / "m.sol", tmp_path / "g.sol", tmp_path / "out"
+    commands = [
+        ["gen", "--vertices", "7", "--colors", "3", "--edge-prob", "0.4", "--seed", "3",
+         "--output", str(market)],
+        ["reduce", "--cnf", str(cnf), "--output", str(gadget), "--map", str(gmap)],
+        *[["reduce", "--cnf", str(cnf), "--variant", variant, "--output", str(out),
+           "--map", str(out)] for variant in ("balanced", "2pc")],
+        ["clear", "--input", str(gadget), "--objective", "tex", "--output", str(g_sol)],
+        *[["clear", "--input", str(market), "--objective", objective, "--output", str(m_sol)]
+          for objective in ("tmaxex", "maxtex", "tex")],
+        ["pullback", "--map", str(gmap), "--solution", str(g_sol)],
+        ["verify", "--graph", str(market), "--solution", str(m_sol)],
+        ["decide", "--input", str(market), "--objective", "tex"],
+        ["oracle", "--graph", str(market), "--objective", "tmaxex"],
+    ]
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(argv)
+
+    thresholds = gc.get_threshold()
+    gc.set_threshold(*thresholds[:2], 1 << 30)
+    tracemalloc.start()
+    grown = {}
+    try:
+        for argv in commands:
+            gc.collect()
+            for _ in range(10):
+                assert run(argv) == 0
+            gc.collect(1)
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                run(argv)
+            gc.collect(1)
+            grown[" ".join(Path(arg).name for arg in argv)] = (
+                tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+        gc.set_threshold(*thresholds)
+    assert max(grown.values()) <= 16 * 1024, grown
 
 
 def test_internal_failure_exit_code(tmp_path, capsys):

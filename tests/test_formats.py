@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -290,6 +291,16 @@ def test_wantlist_round_trip():
     text = "alice a1 : b1 b2\nbob b1 : a1\nbob b2 :\n"
     g = bc.parse_wantlist(text)
     assert bc.parse_wantlist(bc.serialize_wantlist(g)) == g
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=small_graphs())
+def test_the_writers_leave_no_edge_tuple_on_the_graph(g):
+    # both writers read the endpoint arrays, not the cached g.edges
+    for write in (bc.serialize_graph, bc.serialize_wantlist):
+        fresh = replace(g)
+        write(fresh)
+        assert "edges" not in vars(fresh)
 
 
 def test_dimacs_cnf_a():
