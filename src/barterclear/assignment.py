@@ -14,7 +14,7 @@ is built from the graph's edge arrays, with the keeps spliced in, and is
 solved by scipy's LAPJVsp (Jonker & Volgenant 1987, sparse variant).
 Costs are small integers, exact in floating point.  The one sort that
 builds the matrix also gives each entry's lowest edge id, so the solve
-reads the edge of every trade from it and needs no edge-table lookup.
+reads the edge of every trade from it.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _costs(g: ColoredDigraph) -> tuple[csr_array, np.ndarray, np.ndarray]:
 def _trades(g: ColoredDigraph) -> tuple[np.ndarray, np.ndarray]:
     """An optimal assignment: for each vertex u, the item it gives to or -1
     when it keeps its own, and the lowest edge id from u to the item it is
-    assigned, read from the cost matrix's own edge table."""
+    assigned, read from the cost matrix's own keys."""
     costs, keys, first = _costs(g)
     # a square full matching lists every row in order, so the columns are
     # the successors

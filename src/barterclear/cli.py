@@ -155,8 +155,9 @@ def cmd_clear(args: argparse.Namespace) -> int:
 def cmd_decide(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     threshold = args.objective.endswith("-x")
-    if threshold and args.x is None:
-        raise ValueError(f"--x is required for {args.objective}")
+    if threshold != (args.x is not None):
+        raise ValueError(f"--x is {'required for' if threshold else 'not used with'} "
+                         f"{args.objective}")
     name = {"exchange-x": "max-size", "maxtex-x": "maxtex"}.get(args.objective, args.objective)
     metrics = validate_cycle_set(g, solve_with_stats(g, Objective(name), _budget(args))[0])
     if threshold:  # at least x vertices

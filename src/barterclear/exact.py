@@ -17,8 +17,8 @@ state as arguments, so no step is undone on the way back.
 The search reads the graph's edges once, into a map per vertex from each
 successor to the lowest edge id that leads there: its ascending successor
 lists come from that map, and so does each edge id of the cycle set it
-returns, so a color solve caches nothing on the graph.  A cycle never
-leaves a strong component, so the search keeps only the edges inside one;
+returns.  A cycle never leaves a strong component, so the search keeps
+only the edges inside one;
 the components come from one pass of Tarjan's algorithm with an explicit
 stack, in O(n + m).  The free set starts as the vertices on a cycle and is
 trimmed each time vertices leave it, when a chosen cycle takes them or a
@@ -443,5 +443,6 @@ def brute_force_best(g: ColoredDigraph, objective: Objective) -> CycleSet:
             rec(i + 1, in_mask, used_mask)
 
     rec(0, 0, 0)
+    del rec  # the closure refers to itself: a cycle only the collector would free
     assert best_canon is not None
     return cycle_set_from_vertices(g, best_canon)

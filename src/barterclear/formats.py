@@ -207,25 +207,29 @@ def parse_solution(text: str, g: ColoredDigraph) -> CycleSet:
     """Parse ``C v1 v2 ... vk`` records against a graph and its vertex names.
 
     Unknown vertex names and missing edges are parse errors; validity of the
-    resulting set (disjointness etc.) is the caller's concern.  All records
-    are looked up at once; only when that fails does a record-at-a-time
-    walk find the first error in file order.
+    resulting set (disjointness etc.) is the caller's concern.  One walk
+    reads the records up to the first malformed one or unknown vertex, and
+    one lookup finds a missing edge before it, the first error in file order.
     """
     index = {name: v for v, name in enumerate(g.vertex_names)}
+    lines: list[int] = []
+    cycles: list[list[int]] = []
+    stop: ParseError | None = None
     try:
-        return cycle_set_from_vertices(
-            g, [[index[token] for token in cycle] for _, cycle in _cycle_records(text)])
-    except (ParseError, KeyError, NonexistentEdge):
-        pass
-    for lineno, cycle in _cycle_records(text):
-        unknown = [token for token in cycle if token not in index]
-        if unknown:
-            raise ParseError(f"unknown vertex {unknown[0]!r}", lineno)
-        try:
-            cycle_set_from_vertices(g, [[index[token] for token in cycle]])
-        except NonexistentEdge as exc:
-            raise ParseError(str(exc), lineno) from exc
-    raise AssertionError("the solution file has no error")
+        for lineno, cycle in _cycle_records(text):
+            lines.append(lineno)
+            cycles.append([index[token] for token in cycle])
+    except ParseError as exc:
+        stop = exc
+    except KeyError as exc:
+        stop = ParseError(f"unknown vertex {exc.args[0]!r}", lines[-1])
+    try:
+        s = cycle_set_from_vertices(g, cycles)
+    except NonexistentEdge as exc:
+        raise ParseError(str(exc), lines[exc.cycle]) from exc
+    if stop is not None:
+        raise stop
+    return s
 
 
 # ---------------------------------------------------------------------------

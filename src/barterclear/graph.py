@@ -8,17 +8,11 @@ colors (agents) the cycles cover.
 
 Graphs are multigraphs: self-loops and parallel edges are allowed, which is
 why cycles are stored as sequences of edge ids rather than vertex ids.
-A graph stores its vertex colors and edge endpoints as read-only int
-arrays, and caches one table of its distinct edges, each with its lowest
-edge id.  ``cycle_set_from_vertices`` turns vertex walks into edge ids with
-one lookup in that table per cycle set, for the oracle and the solution
-files; ``max-size`` reads its edge ids from its cost matrix and the color
-search builds its cycle sets from the edge ids it read itself.  Validation
-and canonical forms read the endpoints of all of a cycle set's edges with
-one gather from the ``tails`` and ``heads`` arrays, and check the cycles on
-those lists; the per-edge tuple ``g.edges`` is left to code that walks a
-whole graph.  All objects here are immutable values that compare by value;
-operations are pure.
+A graph is its vertex colors and edge endpoints, as read-only int arrays,
+and its vertex names and color labels, and holds nothing derived.
+Validation and canonical forms read the endpoints of a cycle set's edges
+with one gather from ``tails`` and ``heads``.  All objects here are
+immutable values that compare by value; operations are pure.
 
 ``build_graph`` checks every invariant of a graph; the text parsers, whose
 parse proves them, hand their fresh arrays to the private ``_graph`` instead.
@@ -26,8 +20,8 @@ parse proves them, hand their fresh arrays to the private ``_graph`` instead.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
@@ -39,7 +33,12 @@ class CycleSetError(ValueError):
 
 
 class NonexistentEdge(CycleSetError):
-    """A cycle references an edge id the graph does not have."""
+    """A cycle references an edge the graph does not have; ``cycle`` is the
+    index of that cycle in its set."""
+
+    def __init__(self, message: str, cycle: int | None = None):
+        super().__init__(message)
+        self.cycle = cycle
 
 
 class BrokenChain(CycleSetError):
@@ -110,10 +109,8 @@ class ColoredDigraph:
     with ``build_graph``, which sets and checks all of this, or read them
     with ``parse_graph`` or ``parse_wantlist``, whose parse proves it.
 
-    A graph caches ``edges``, the ``(tail, head)`` pairs for code that
-    walks edges in Python, and a private table of its distinct edges for
-    edge-id lookups.  Graphs compare by value: the same names, colors and
-    edges in the same order.
+    Graphs compare by value: the same names, colors and edges in the same
+    order.
     """
 
     vertex_colors: np.ndarray
@@ -148,24 +145,18 @@ class ColoredDigraph:
     def color_count(self) -> int:
         return len(self.color_labels)
 
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """``(tail, head)`` of every edge, by edge id."""
+        """``(tail, head)`` of every edge, by edge id, built on each call."""
         return tuple(list(zip(self.tails.tolist(), self.heads.tolist())))
-
-    @cached_property
-    def _edge_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The key ``tail * vertex_count + head`` of every distinct edge,
-        ascending, and the lowest edge id of each."""
-        keys, edge_ids = np.unique(self.tails * self.vertex_count + self.heads, return_index=True)
-        return _read_only(keys), _read_only(edge_ids)
 
 
 def _lowest_edge_ids(g: ColoredDigraph, tails: Sequence[int], heads: Sequence[int]) -> np.ndarray:
     """The lowest edge id from ``tails[i]`` to ``heads[i]`` for each i, or
     -1 where ``g`` has no such edge."""
     n = g.vertex_count
-    table, edge_ids = g._edge_table
+    # every distinct edge's key, ascending, and the lowest edge id of each
+    table, edge_ids = np.unique(g.tails * n + g.heads, return_index=True)
     t = np.asarray(tails, dtype=np.intp)
     h = np.asarray(heads, dtype=np.intp)
     if table.size == 0:
@@ -285,7 +276,7 @@ def validate_cycle_set(g: ColoredDigraph, s: CycleSet) -> SolutionMetrics:
         j, eid = next((j, eid) for j, c in enumerate(cycles) for eid in c.edge_ids
                       if not 0 <= eid < m)
         validate_cycle_set(g, CycleSet(cycles[:j]))  # a fault of an earlier cycle comes first
-        raise NonexistentEdge(f"edge id {eid} not in graph")
+        raise NonexistentEdge(f"edge id {eid} not in graph", j)
     # one gather of the endpoints of every edge of the set
     tail_array = g.tails[ids]
     tails, heads = tail_array.tolist(), g.heads[ids].tolist()
@@ -347,15 +338,17 @@ def cycle_set_from_vertices(g: ColoredDigraph, cycles: Sequence[Sequence[int]]) 
     """The cycle set whose cycles are v1 -> v2 -> ... -> vk -> v1 for each
     vertex sequence of ``cycles``, in order, with one edge-id lookup for all
     of them; parallel edges resolve to the lowest edge id.  Raises
-    NonexistentEdge naming the first missing edge by its vertex names."""
+    NonexistentEdge naming the first missing edge by its vertex names, with
+    the index of its cycle."""
     cycles = [tuple(c) for c in cycles]
     tails = [u for c in cycles for u in c]
     heads = [v for c in cycles for v in c[1:] + c[:1]]
     edge_ids = _lowest_edge_ids(g, tails, heads).tolist()
-    if -1 in edge_ids:
-        u, v = next((u, v) for u, v, eid in zip(tails, heads, edge_ids) if eid < 0)
-        raise NonexistentEdge(f"no edge {_vertex_name(g, u)} -> {_vertex_name(g, v)}")
     ends = list(accumulate(map(len, cycles)))
+    if -1 in edge_ids:
+        at = edge_ids.index(-1)
+        raise NonexistentEdge(f"no edge {_vertex_name(g, tails[at])} -> "
+                              f"{_vertex_name(g, heads[at])}", bisect_right(ends, at))
     return CycleSet(tuple([Cycle(tuple(edge_ids[a:b])) for a, b in zip([0] + ends, ends)]))
 
 

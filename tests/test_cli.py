@@ -162,9 +162,10 @@ def test_decide_reads_a_wantlist_as_its_graph_file(tmp_path, capsys):
     graph = tmp_path / "wants.graph"
     graph.write_text(bc.serialize_graph(bc.parse_wantlist(wants.read_text())))
     for decision in ("exchange-x", "tex", "tmaxex", "maxtex-x"):
+        x = ["--x", "3"] if decision.endswith("-x") else []
         answers = []
         for argv in (["--input", str(wants), "--wantlist"], ["--input", str(graph)]):
-            code = main(["decide", *argv, "--objective", decision, "--x", "3"])
+            code = main(["decide", *argv, "--objective", decision, *x])
             answers.append((code, capsys.readouterr().out))
         assert answers[0] == answers[1]
         assert answers[0][1].count("\n") == 3
@@ -205,6 +206,12 @@ def test_decide_exchange_x(conflict_file, capsys):
 def test_decide_tmaxex_and_maxtex_x(conflict_file, capsys):
     assert main(["decide", "--input", str(conflict_file), "--objective", "tmaxex"]) == 1
     capsys.readouterr()
+    # a threshold only the -x decisions read is an input error elsewhere
+    for decision in ("tex", "tmaxex"):
+        assert main(["decide", "--input", str(conflict_file), "--objective", decision,
+                     "--x", "3"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --x is not used with {decision}\n")
     # the color-primary optimum has 2 vertices
     base = ["decide", "--input", str(conflict_file), "--objective", "maxtex-x"]
     assert main(base + ["--x", "2"]) == 0
@@ -358,7 +365,8 @@ def test_decide_matches_clear_for_every_objective(conflict_file, tmp_path, capsy
             assert main(["clear", "--input", str(graph), "--objective", objective,
                          "--output", str(tmp_path / "out.sol")]) == 0
             report = report_fields(capsys.readouterr().out)
-            code = main(["decide", "--input", str(graph), "--objective", decision, "--x", "3"])
+            x = ["--x", "3"] if decision.endswith("-x") else []
+            code = main(["decide", "--input", str(graph), "--objective", decision, *x])
             lines = capsys.readouterr().out.splitlines()
             assert lines[1:] == [f"vertices {report['vertices']}",
                                  f"colors {report['colors']} of {report['total-colors']}"]
@@ -467,11 +475,10 @@ def test_repeated_calls_keep_no_memory(tmp_path):
     # freed, stays on CPython's free list for its size, one more per call,
     # until a full collection empties the lists: so full collections are held
     # off while each command runs 200 more times after its warm-up, and only
-    # the young generations are collected, to free cyclic garbage such as the
-    # oracle's recursive closure, before each reading. No input holds a
-    # 20-item tuple, which CPython 3.11 keeps however it was built, and
-    # max-size and approx are left out: scipy's check_shape leaves two 2-item
-    # tuples per LAPJVsp solve
+    # the young generations are collected, to free cyclic garbage, before
+    # each reading. No input holds a 20-item tuple, which CPython 3.11 keeps
+    # however it was built, and max-size and approx are left out: scipy's
+    # check_shape leaves two 2-item tuples per LAPJVsp solve
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 5 7\n1 -2 0\n-1 2 0\n2 3 0\n-3 4 0\n4 -5 0\n5 1 0\n3 -4 0\n")
     market, gadget, gmap = tmp_path / "m.graph", tmp_path / "g.graph", tmp_path / "g.map"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
-from dataclasses import fields, replace
+from dataclasses import fields
 from time import perf_counter
 
 import numpy as np
@@ -17,6 +17,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 import barterclear as bc
 import barterclear.assignment
 import barterclear.exact
+import barterclear.graph
 from barterclear import Objective
 from barterclear.assignment import max_size_successors
 from barterclear.exact import _KEYS, _CycleSearch, _max_matching, _max_size, _strong_components
@@ -171,37 +172,39 @@ def test_solvers_return_the_oracle_cycle_set(g):
         assert bc.solve_with_stats(g, objective)[0] == bc.brute_force_best(g, objective)
 
 
-def derived(g):
-    """The names of what ``g`` has computed from its fields and cached."""
-    return set(vars(g)) - {field.name for field in fields(g)}
-
-
 @settings(max_examples=80, deadline=None)
 @given(g=small_graphs())
 def test_the_search_hands_back_the_lowest_edge_ids_it_read(g):
-    # a color solve reads the edges once: no edge table, no edge-id lookup
-    solved = [bc.solve_with_stats(g, objective)[0] for objective in COLOR_OBJECTIVES]
-    assert derived(g) == set()
+    # a color solve reads the edges once, and max-size reads its edge ids
+    # from its own cost matrix: neither looks an edge id up
+    def refuse(*args):
+        raise AssertionError("an edge-id lookup")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(barterclear.graph, "_lowest_edge_ids", refuse)
+        bc.solve_max_size(g)
+        solved = [bc.solve_with_stats(g, objective)[0] for objective in COLOR_OBJECTIVES]
     for s in solved:
         assert s == bc.cycle_set_from_vertices(g, bc.canonical_cycle_vertices(g, s))
 
 
 @settings(max_examples=60, deadline=None)
 @given(g=small_graphs())
-def test_vertex_walks_to_edge_ids_cache_the_edge_table(g):
-    # max-size reads its edge ids from its own cost matrix; the solution
-    # parser looks them up in the edge table, and the oracle also lists
-    # successors from the edge tuple
-    def derived_after(run):
-        fresh = replace(g)
-        run(fresh)
-        return derived(fresh)
-
-    assert derived_after(bc.solve_max_size) == set()
+def test_a_graph_holds_only_its_fields(g):
+    # no library call caches anything on a graph
     text = bc.serialize_solution(g, bc.solve_max_size(g))
-    assert derived_after(lambda h: bc.parse_solution(text, h)) == {"_edge_table"}
-    for objective in Objective:
-        assert derived_after(lambda h: bc.brute_force_best(h, objective)) == {"_edge_table", "edges"}
+    calls = [
+        bc.solve_max_size, bc.serialize_graph, bc.serialize_wantlist,
+        bc.without_self_loops, lambda h: bc.parse_solution(text, h),
+        lambda h: bc.validate_cycle_set(h, bc.parse_solution(text, h)),
+        lambda h: bc.canonical_cycle_set(h, bc.parse_solution(text, h)),
+        *[lambda h, o=objective: bc.solve_with_stats(h, o) for objective in Objective],
+        *[lambda h, o=objective: bc.brute_force_best(h, o) for objective in Objective],
+    ]
+    own = {field.name for field in fields(g)}
+    for call in calls:
+        call(g)
+        assert set(vars(g)) == own
 
 
 # a planted 3-CNF (5 variables, 21 clauses): its plain and balanced gadgets
@@ -432,6 +435,18 @@ def test_color_search_leaves_no_garbage():
     try:
         for objective in COLOR_OBJECTIVES:
             bc.solve_with_stats(g, objective)
+            assert gc.collect() == 0, objective
+    finally:
+        gc.enable()
+
+
+def test_the_oracle_leaves_no_garbage():
+    g = bc.gen_random(7, 3, 0.3, seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        for objective in Objective:
+            bc.brute_force_best(g, objective)
             assert gc.collect() == 0, objective
     finally:
         gc.enable()

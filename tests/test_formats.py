@@ -250,6 +250,24 @@ def test_solution_parse_errors_name_the_first_faulty_record(g_conflict):
         bc.parse_solution("C 3 0\nC 9 8 0\nC 0 0\n", g_conflict)
 
 
+def test_a_solution_file_is_looked_up_once(monkeypatch):
+    # 20 000 two-cycles, then the same file with a self-loop the graph lacks
+    # as its last record: either way one walk and one edge-id lookup
+    g = bc.build_graph([0] * 40_000, [(u ^ d, u ^ d ^ 1) for u in range(0, 40_000, 2)
+                                      for d in (0, 1)])
+    records = [f"C {u} {u + 1}\n" for u in range(0, 40_000, 2)]
+    lookups = []
+    lowest_edge_ids = bc.graph._lowest_edge_ids
+    monkeypatch.setattr(bc.graph, "_lowest_edge_ids",
+                        lambda *args: lookups.append(args) or lowest_edge_ids(*args))
+    assert len(bc.parse_solution("".join(records), g)) == 20_000
+    assert len(lookups) == 1
+    lookups.clear()
+    with pytest.raises(bc.ParseError, match="^line 20000: no edge 39998 -> 39998$"):
+        bc.parse_solution("".join(records[:-1]) + "C 39998\n", g)
+    assert len(lookups) == 1
+
+
 def test_wantlist_pair_up_to_relabeling(g_pair):
     g = bc.parse_wantlist("alice a1 : b1\nbob b1 : a1\n")
     assert g.vertex_names == ("a1", "b1")

@@ -89,8 +89,7 @@ def test_build_rejects_names_no_text_format_can_carry():
 
 
 def test_graph_arrays_are_read_only(g_conflict):
-    for a in (g_conflict.vertex_colors, g_conflict.tails, g_conflict.heads,
-              *g_conflict._edge_table):
+    for a in (g_conflict.vertex_colors, g_conflict.tails, g_conflict.heads):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -192,6 +191,16 @@ def test_cycle_set_from_vertices_names_the_missing_edge():
         bc.cycle_set_from_vertices(g, [[0, 7]])
 
 
+def test_a_missing_edge_carries_the_index_of_its_cycle():
+    g = bc.parse_graph("V a red\nV b red\nV c red\nE a b\nE b a\nE c a\n")
+    with pytest.raises(bc.NonexistentEdge, match="^no edge a -> c$") as exc:
+        bc.cycle_set_from_vertices(g, [[0, 1], [2, 0], [2]])
+    assert exc.value.cycle == 1
+    with pytest.raises(bc.NonexistentEdge, match="^edge id 5 not in graph$") as exc:
+        bc.validate_cycle_set(g, bc.CycleSet((bc.Cycle((0, 1)), bc.Cycle((5,)))))
+    assert exc.value.cycle == 1
+
+
 @st.composite
 def multigraphs(draw):
     """Multigraphs of up to 30 vertices and up to 4 colors: self-loops,
@@ -279,12 +288,13 @@ def reference_validate(g, s):
 def reference_canonical(g, s):
     """Each cycle rotated to its smallest vertex, cycles sorted by it, by
     walking ``g.edges``."""
+    edges = g.edges
     rotated = []
     for c in s.cycles:
-        vertices = [g.edges[eid][0] for eid in c.edge_ids]
+        vertices = [edges[eid][0] for eid in c.edge_ids]
         pivot = vertices.index(min(vertices))
         rotated.append(bc.Cycle(c.edge_ids[pivot:] + c.edge_ids[:pivot]))
-    rotated.sort(key=lambda c: g.edges[c.edge_ids[0]][0])
+    rotated.sort(key=lambda c: edges[c.edge_ids[0]][0])
     return bc.CycleSet(tuple(rotated))
 
 
@@ -301,13 +311,14 @@ def cycle_sets(draw, g):
     rotated, on random parallel edges, in random order), and corrupted ones:
     ids out of range, broken chains, repeated vertices and overlaps, at
     times two faults in different cycles."""
+    edges = g.edges
     parallel: dict[tuple[int, int], list[int]] = {}
-    for eid, pair in enumerate(g.edges):
+    for eid, pair in enumerate(edges):
         parallel.setdefault(pair, []).append(eid)
     cycles = []
     for c in bc.solve_max_size(g).cycles:
         if draw(st.booleans()):
-            ids = [draw(st.sampled_from(parallel[g.edges[eid]])) for eid in c.edge_ids]
+            ids = [draw(st.sampled_from(parallel[edges[eid]])) for eid in c.edge_ids]
             turn = draw(st.integers(0, len(ids) - 1))
             cycles.append(ids[turn:] + ids[:turn])
     cycles = draw(st.permutations(cycles))
@@ -342,11 +353,12 @@ def test_validation_and_canonical_forms_match_an_edge_walk(data, g):
     assert _outcome(bc.validate_cycle_set, g, s) == expected
     if isinstance(expected, bc.SolutionMetrics):
         canon = reference_canonical(g, s)
+        edges = g.edges
         assert bc.canonical_cycle_set(g, s) == canon
         assert bc.parse_cycles(bc.serialize_solution(g, s)) == tuple(
-            tuple(g.vertex_names[g.edges[eid][0]] for eid in c.edge_ids) for c in canon.cycles)
+            tuple(g.vertex_names[edges[eid][0]] for eid in c.edge_ids) for c in canon.cycles)
         assert bc.canonical_cycle_vertices(g, s) == tuple(
-            tuple(g.edges[eid][0] for eid in c.edge_ids) for c in canon.cycles)
+            tuple(edges[eid][0] for eid in c.edge_ids) for c in canon.cycles)
 
 
 def test_validation_names_the_first_faulty_cycle():
